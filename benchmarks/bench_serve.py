@@ -115,7 +115,7 @@ def check_cache_identity(store: PartitionedStore, scripts) -> None:
     """Cached responses must be bit-identical to their uncached originals."""
 
     async def go():
-        async with QueryService(store, linger=0.0) as svc:
+        async with QueryService(store) as svc:
             for request in {r.signature(): r for s in scripts[:20] for r in s}.values():
                 first = await svc.submit(request)
                 second = await svc.submit(request)
@@ -129,7 +129,7 @@ def check_epoch_invalidation(store: PartitionedStore) -> None:
     """A bumped dependency partition must force recomputation."""
 
     async def go():
-        async with QueryService(store, linger=0.0) as svc:
+        async with QueryService(store) as svc:
             request = RangeQueryRequest(Point(500.0, 500.0), 60.0)
             first = await svc.submit(request)
             svc.epochs.bump_point(500.0, 500.0)
@@ -159,8 +159,8 @@ def main(argv=None) -> int:
     store = make_store(rng, n_points, n_partitions)
     scripts = make_workload(rng, n_clients, per_client, n_distinct)
 
-    coalesced = run_fleet(store, scripts, max_batch=128, linger=0.002)
-    naive = run_fleet(store, scripts, max_batch=1, linger=0.0)
+    coalesced = run_fleet(store, scripts, max_batch=128)
+    naive = run_fleet(store, scripts, max_batch=1)
     kernel_call_ratio = naive["stats"]["kernel_calls"] / coalesced["stats"]["kernel_calls"]
     check_cache_identity(store, scripts)
     check_epoch_invalidation(store)

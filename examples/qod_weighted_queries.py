@@ -79,7 +79,7 @@ async def serve_weighted(store, queries):
     """Ask each question both ways through the serving layer."""
     plain = [KnnQueryRequest(q, 5) for q in queries]
     weighted = [KnnQueryRequest(q, 5, weighted=True) for q in queries]
-    async with QueryService(store, linger=0.0) as svc:
+    async with QueryService(store) as svc:
         plain_responses = await svc.submit_many(plain)
         weighted_responses = await svc.submit_many(weighted)
     return plain_responses, weighted_responses

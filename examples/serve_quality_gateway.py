@@ -131,7 +131,6 @@ def main() -> None:
         async with QueryService(
             store,
             max_batch=64,
-            linger=0.001,
             epochs=epochs,
             policy="block",
         ) as svc:

@@ -35,12 +35,14 @@ from .distances import (
     box_gap_dists,
     box_max_dists,
     box_min_dists,
+    box_min_dists_many,
     chunked_range_hits,
     cross_dists,
     dists_to,
     haversine_m_many,
     knn_select,
     knn_select_many,
+    paired_dists,
     range_mask,
     range_masks,
 )
@@ -69,12 +71,14 @@ __all__ = [
     "box_gap_dists",
     "box_max_dists",
     "box_min_dists",
+    "box_min_dists_many",
     "chunked_range_hits",
     "cross_dists",
     "dists_to",
     "haversine_m_many",
     "knn_select",
     "knn_select_many",
+    "paired_dists",
     "range_mask",
     "range_masks",
     "leg_displacements",

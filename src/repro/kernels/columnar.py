@@ -42,10 +42,11 @@ def center_of(center) -> np.ndarray:
 
 def centers_of(centers: Sequence) -> np.ndarray:
     """Coerce a batch of query centers to an ``(m, 2)`` array."""
-    rows = [center_of(c) for c in centers]
-    if not rows:
+    if len(centers) == 0:
         return np.zeros((0, 2))
-    return np.stack(rows)
+    if all(hasattr(c, "x") for c in centers):
+        return coords_of(centers)
+    return np.stack([center_of(c) for c in centers])
 
 
 def entry_columns(entries: Sequence) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,17 @@ def cross_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sqrt_sum_sq(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
 
 
+def paired_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``(n,)`` Euclidean distances between ``a[i]`` and ``b[i]``.
+
+    Row ``i`` is bit-identical to ``dists_to(a[i:i+1], b[i])``: the same
+    ``a - b`` differences through the same fused formula.
+    """
+    if a.shape[0] == 0:
+        return np.zeros(0)
+    return _sqrt_sum_sq(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+
+
 def range_mask(coords: np.ndarray, center, radius: float) -> np.ndarray:
     """Boolean ``(n,)`` mask of rows within ``radius`` of ``center``."""
     return dists_to(coords, center) <= radius
@@ -133,6 +144,22 @@ def box_min_dists(boxes: np.ndarray, center) -> np.ndarray:
         return np.zeros(0)
     dx = np.maximum(np.maximum(boxes[:, 0] - c[0], c[0] - boxes[:, 2]), 0.0)
     dy = np.maximum(np.maximum(boxes[:, 1] - c[1], c[1] - boxes[:, 3]), 0.0)
+    return np.hypot(dx, dy)
+
+
+def box_min_dists_many(boxes: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(m, n)`` min distances from each of ``m`` centers to each box row.
+
+    Row ``q`` is elementwise identical to ``box_min_dists(boxes, centers[q])``
+    (same operations per element), so one broadcast replaces a per-query
+    loop without moving any pruning decision.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    if boxes.shape[0] == 0 or c.shape[0] == 0:
+        return np.zeros((c.shape[0], boxes.shape[0]))
+    cx, cy = c[:, 0:1], c[:, 1:2]
+    dx = np.maximum(np.maximum(boxes[None, :, 0] - cx, cx - boxes[None, :, 2]), 0.0)
+    dy = np.maximum(np.maximum(boxes[None, :, 1] - cy, cy - boxes[None, :, 3]), 0.0)
     return np.hypot(dx, dy)
 
 

@@ -134,6 +134,14 @@ def cross_dists(a, b) -> np.ndarray:
     return out
 
 
+def paired_dists(a, b) -> np.ndarray:
+    """Per-row-pair distance loop (twin of kernels.paired_dists)."""
+    ra = np.asarray(a, dtype=float).reshape(-1, 2)
+    rb = np.asarray(b, dtype=float).reshape(-1, 2)
+    out = [_pair_dist(ra[i, 0] - rb[i, 0], ra[i, 1] - rb[i, 1]) for i in range(ra.shape[0])]
+    return np.array(out) if out else np.zeros(0)
+
+
 def range_mask(coords, center, radius: float) -> np.ndarray:
     """Per-row disk-membership loop (twin of kernels.range_mask)."""
     return np.array([d <= radius for d in dists_to(coords, center)], dtype=bool)
@@ -200,6 +208,15 @@ def box_min_dists(boxes, center) -> np.ndarray:
         dy = max(min_y - cy, cy - max_y, 0.0)
         out.append(math.hypot(dx, dy))
     return np.array(out) if out else np.zeros(0)
+
+
+def box_min_dists_many(boxes, centers) -> np.ndarray:
+    """Per-center min-distance loops (twin of kernels.box_min_dists_many)."""
+    centers_arr = np.asarray(centers, dtype=float).reshape(-1, 2)
+    n = np.asarray(boxes, dtype=float).reshape(-1, 4).shape[0]
+    if not centers_arr.shape[0]:
+        return np.zeros((0, n))
+    return np.stack([box_min_dists(boxes, c) for c in centers_arr])
 
 
 def box_max_dists(boxes, center) -> np.ndarray:

@@ -169,7 +169,7 @@ class _ColumnarView:
     routing functions over this one structure.
     """
 
-    __slots__ = ("boxes", "coords_chunks", "index_chunks")
+    __slots__ = ("boxes", "coords_chunks", "index_chunks", "part_sizes")
 
     def __init__(
         self,
@@ -180,13 +180,16 @@ class _ColumnarView:
         self.boxes = boxes
         self.coords_chunks = coords_chunks
         self.index_chunks = index_chunks
+        self.part_sizes = [sum(c.shape[0] for c in cc) for cc in coords_chunks]
 
     @property
     def n_partitions(self) -> int:
         return self.boxes.shape[0]
 
-    def part_size(self, p: int) -> int:
-        return sum(c.shape[0] for c in self.coords_chunks[p])
+    def merged_index(self, p: int) -> np.ndarray:
+        """Partition ``p``'s point ids across its chunks, in scan order."""
+        chunks = self.index_chunks[p]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 class _StoreSnapshot:
@@ -428,88 +431,146 @@ def _route_range(
     A partition is *touched* by a query when its scan box overlaps the
     disk (whether or not any point qualifies), matching the legacy
     per-query scalar router.  Hits come back in partition order, then in
-    each partition's member order (base rows before delta rows).  Scans
-    are batched partition-major: one
-    :func:`repro.kernels.chunked_range_hits` merged scan covers every
-    query routed to a partition across both tiers.
+    each partition's member order (base rows before delta rows).  The
+    overlap test is one ``(queries, partitions)`` broadcast and scans are
+    batched partition-major: one :func:`repro.kernels.chunked_range_hits`
+    merged scan covers every query routed to a partition across both
+    tiers.
     """
     n_queries = centers.shape[0]
     hits: list[list[int]] = [[] for _ in range(n_queries)]
     if n_queries == 0 or view.n_partitions == 0:
         return hits, 0
-    overlap = np.zeros((n_queries, view.n_partitions), dtype=bool)
-    for qi in range(n_queries):
-        overlap[qi] = kernels.box_min_dists(view.boxes, centers[qi]) <= radii[qi]
-    touched = int(overlap.sum())
-    for p in range(view.n_partitions):
-        routed = np.flatnonzero(overlap[:, p])
-        if routed.size == 0 or view.part_size(p) == 0:
+    overlap = kernels.box_min_dists_many(view.boxes, centers) <= radii[:, None]
+    for p in np.flatnonzero(overlap.any(axis=0)).tolist():
+        if view.part_sizes[p] == 0:
             continue
+        routed = np.flatnonzero(overlap[:, p])
         chunks = list(zip(view.coords_chunks[p], view.index_chunks[p]))
         per_query = kernels.chunked_range_hits(chunks, centers[routed], radii[routed])
         for qi, ids in zip(routed.tolist(), per_query):
             hits[qi].extend(ids.tolist())
-    return hits, touched
+    return hits, int(overlap.sum())
 
 
 def _route_knn(
     view: _ColumnarView,
     centers: np.ndarray,
     k: int,
-    weights: list[list[np.ndarray]] | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[list[list[int]], int]:
     """kNN routing: scan partitions best-first, prune by the k-th distance.
 
-    Partitions are visited in ascending ``(scan-box min-distance,
-    partition index)`` order; scanning stops once ``k`` candidates are
-    known and the next partition's lower bound exceeds the current k-th
-    distance.  Every scanned partition counts as touched, and a scanned
-    partition contributes both its tiers.  Ties break by ascending point
-    index (the package-wide ``(distance, id)`` rule).
+    Each query visits partitions in ascending ``(scan-box min-distance,
+    partition index)`` order and stops once ``k`` candidates are known and
+    the next partition's lower bound exceeds its current k-th distance.
+    Every visited partition counts as touched (empty ones too), and a
+    scanned partition contributes both its tiers.  Ties break by ascending
+    point index (the package-wide ``(distance, id)`` rule).
 
-    ``weights`` (chunk lists aligned with ``view``'s) turns the scan into
+    The batch advances in rounds: in round ``r`` every still-active query
+    takes its ``r``-th partition, and the queries that landed on the same
+    partition share one :func:`repro.kernels.cross_dists` scan per column
+    chunk.  Each query sees exactly the per-query sequence above, so
+    answers and the touched count do not depend on the batch around it.
+    Per query, ``best`` keeps the ``k`` smallest distances seen (padded
+    with ``inf``, so its last column is the k-th distance once ``k``
+    candidates exist and ``inf`` before) and only candidates within that
+    running k-th distance are kept for the final ``(distance, id)``
+    ranking: the k-th distance only falls, so nothing dropped could
+    re-enter the answer.
+
+    ``weights`` (the store's per-point vector) turns the scan into
     quality-weighted ranking: candidates order by *effective* distance
-    ``d / w``.  Weights are capped at 1.0, so ``d / w >= d >=`` every
-    scan-box lower bound — the best-first pruning stays sound (merely
-    less tight) and weighted results stay exact and bit-identical across
-    worker counts.
+    ``d / w``, with weights gathered only for scanned chunks.  Weights are
+    capped at 1.0, so ``d / w >= d >=`` every scan-box lower bound — the
+    best-first pruning stays sound (merely less tight) and weighted
+    results stay exact and bit-identical across worker counts.
     """
     n_queries = centers.shape[0]
-    out: list[list[int]] = [[] for _ in range(n_queries)]
-    if n_queries == 0 or view.n_partitions == 0 or k < 1:
-        return out, 0
+    n_parts = view.n_partitions
+    if n_queries == 0 or n_parts == 0 or k < 1:
+        return [[] for _ in range(n_queries)], 0
+    lower = kernels.box_min_dists_many(view.boxes, centers)
+    order = np.argsort(lower, axis=1, kind="stable")  # stable: ties by partition id
+    sizes = view.part_sizes
+    # A k beyond the store ranks everything: one inf column past the store
+    # size keeps the stop rule off exactly as an unbounded k would.
+    k = min(k, sum(sizes) + 1)
+    best = np.full((n_queries, k), np.inf)
+    active = np.arange(n_queries)
+    weight_chunks: dict[tuple[int, int], np.ndarray] = {}
+    cand_q: list[np.ndarray] = []
+    cand_d: list[np.ndarray] = []
+    cand_id: list[np.ndarray] = []
     touched = 0
-    for qi in range(n_queries):
-        lower = kernels.box_min_dists(view.boxes, centers[qi])
-        order = np.lexsort((np.arange(view.n_partitions), lower))
-        d_parts: list[np.ndarray] = []
-        id_parts: list[np.ndarray] = []
-        total = 0
-        kth = np.inf
-        for p in order.tolist():
-            if total >= k and lower[p] > kth:
-                break
-            touched += 1
-            size = view.part_size(p)
-            if size == 0:
-                continue
+    for r in range(n_parts):
+        parts = order[active, r]
+        # The negated stop test (not ``<=``) keeps a NaN bound scanning.
+        go = ~(lower[active, parts] > best[active, k - 1])
+        active, parts = active[go], parts[go]
+        if active.size == 0:
+            break
+        touched += active.size
+        groups: dict[int, list[int]] = {}
+        for qi, p in zip(active.tolist(), parts.tolist()):
+            if sizes[p]:
+                groups.setdefault(p, []).append(qi)
+        for p, members in groups.items():
+            qs = np.array(members)
+            dist_parts: list[np.ndarray] = []
             for ci, (coords, index) in enumerate(
                 zip(view.coords_chunks[p], view.index_chunks[p])
             ):
                 if coords.shape[0] == 0:
                     continue
-                d = kernels.dists_to(coords, centers[qi])
+                d = kernels.cross_dists(centers[qs], coords)
                 if weights is not None:
-                    d = d / weights[p][ci]
-                d_parts.append(d)
-                id_parts.append(index)
-            total += size
-            if total >= k:
-                kth = float(np.partition(np.concatenate(d_parts), k - 1)[k - 1])
-        if total:
-            sel = kernels.knn_select(np.concatenate(d_parts), np.concatenate(id_parts), k)
-            out[qi] = sel.tolist()
-    return out, touched
+                    w = weight_chunks.get((p, ci))
+                    if w is None:
+                        w = weight_chunks[(p, ci)] = _weights_for(index, weights)
+                    d /= w
+                dist_parts.append(d)
+            d = dist_parts[0] if len(dist_parts) == 1 else np.hstack(dist_parts)
+            ids = view.merged_index(p)
+            head = np.partition(d, k - 1, axis=1)[:, :k] if d.shape[1] >= k else d
+            if r == 0 and head.shape[1] == k:
+                best[qs] = head  # nothing seen yet: head is the k smallest
+            else:
+                merged = np.concatenate((best[qs], head), axis=1)
+                best[qs] = np.partition(merged, k - 1, axis=1)[:, :k]
+            hit = np.flatnonzero(d <= best[qs, k - 1][:, None])
+            rows, cols = np.divmod(hit, d.shape[1])
+            cand_q.append(qs[rows])
+            cand_d.append(d.ravel()[hit])
+            cand_id.append(ids[cols])
+    return _rank_candidates(n_queries, k, cand_q, cand_d, cand_id), touched
+
+
+def _rank_candidates(
+    n_queries: int,
+    k: int,
+    cand_q: list[np.ndarray],
+    cand_d: list[np.ndarray],
+    cand_id: list[np.ndarray],
+) -> list[list[int]]:
+    """Per-query top-``k`` ids under the ``(distance, id)`` rule, in one sort."""
+    if not cand_q:
+        return [[] for _ in range(n_queries)]
+    q = np.concatenate(cand_q)
+    ids = np.concatenate(cand_id)
+    ranked = np.lexsort((ids, np.concatenate(cand_d), q))
+    q, ids = q[ranked], ids[ranked]
+    first = np.searchsorted(q, np.arange(n_queries))
+    keep = np.arange(q.shape[0]) - first[q] < k
+    return _split_by_row(ids[keep], q[keep], n_queries)
+
+
+def _split_by_row(values: np.ndarray, rows: np.ndarray, n_rows: int) -> list[list[int]]:
+    """Per-row Python lists of ``values``, which arrive grouped by ascending ``rows``."""
+    flat = values.tolist()
+    bounds = [0] + np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    return [flat[bounds[i] : bounds[i + 1]] for i in range(n_rows)]
 
 
 def _weights_for(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -519,6 +580,8 @@ def _weights_for(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
     weight vector and default to 1.0 (fully trusted until the next QoD
     pass assigns them a weight).
     """
+    if index.shape[0] == 0 or index.max() < weights.shape[0]:
+        return weights[index]
     out = np.ones(index.shape[0])
     known = index < weights.shape[0]
     out[known] = weights[index[known]]
@@ -609,13 +672,13 @@ def _query_chunk_task(payload: tuple) -> tuple[list[list[int]], int]:
     ``part_refs`` carries, per partition, the base tier as arena handles
     (``None`` when empty) and the delta tail inline (``None`` when empty) —
     base columns stay in shared memory, delta tails ride the payload.
-    Quality-weight chunks (``None`` for unweighted batches) ride inline
-    too, pre-sliced to the same chunk layout the view rebuilds.
+    The store's quality-weight vector (``None`` for unweighted batches)
+    rides inline too; the router gathers weights only for scanned chunks.
     """
     from ..parallel import SharedArray
 
     part_refs, boxes, mode, centers, arg, *rest = payload
-    wchunks = rest[0] if rest else None
+    weights = rest[0] if rest else None
     coords_chunks: list[list[np.ndarray]] = []
     index_chunks: list[list[np.ndarray]] = []
     # One ExitStack pairs every attach with its release on all exit paths;
@@ -636,7 +699,7 @@ def _query_chunk_task(payload: tuple) -> tuple[list[list[int]], int]:
         view = _ColumnarView(boxes, coords_chunks, index_chunks)
         if mode == "range":
             return _route_range(view, centers, arg)
-        return _route_knn(view, centers, arg, wchunks)
+        return _route_knn(view, centers, arg, weights)
 
 
 #: Environment override for the default compaction trigger.
@@ -857,27 +920,6 @@ class PartitionedStore:
         view.flags.writeable = False
         return view
 
-    def _weight_chunks(self, snap: _StoreSnapshot) -> list[list[np.ndarray]] | None:
-        """Per-partition weight chunks aligned with the snapshot's view.
-
-        Chunk order matches :meth:`_StoreSnapshot.view` (packed base
-        first, then the delta tail), so both the in-process scan and the
-        pool workers index the same weight rows.
-        """
-        w = self._weights
-        if w is None:
-            return None
-        out: list[list[np.ndarray]] = []
-        for p in range(snap.boxes.shape[0]):
-            chunks: list[np.ndarray] = []
-            if snap.base_coords[p].shape[0]:
-                chunks.append(_weights_for(snap.base_index[p], w))
-            delta = snap.deltas[p]
-            if delta is not None:
-                chunks.append(_weights_for(delta[1], w))
-            out.append(chunks)
-        return out
-
     def rebuilt(self) -> "PartitionedStore":
         """A from-scratch store with this store's exact live membership.
 
@@ -955,7 +997,7 @@ class PartitionedStore:
         obs_on = OBS.enabled
         self.queries_run += centers.shape[0]
         snap = self._tiers.snapshot()
-        wchunks = self._weight_chunks(snap) if (weighted and mode == "knn") else None
+        weights = self._weights if (weighted and mode == "knn") else None
         cm = (
             OBS.tracer.span("query.partitioned_batch", mode=mode, queries=centers.shape[0])
             if obs_on
@@ -966,7 +1008,7 @@ class PartitionedStore:
                 if mode == "range":
                     hits, touched = _route_range(snap.view(), centers, arg)
                 else:
-                    hits, touched = _route_knn(snap.view(), centers, arg, wchunks)
+                    hits, touched = _route_knn(snap.view(), centers, arg, weights)
             else:
                 spans = chunk_spans(centers.shape[0], None)
                 part_refs = self._shared_refs(snap)
@@ -977,7 +1019,7 @@ class PartitionedStore:
                         mode,
                         centers[start:stop],
                         arg[start:stop] if mode == "range" else arg,
-                        wchunks,
+                        weights,
                     )
                     for start, stop in spans
                 ]
@@ -1054,7 +1096,11 @@ class PartitionedStore:
         overlaps the query disk — the same predicate the router uses — so
         a write outside the set provably cannot change the query's answer.
         The serving layer keys cached results on these sets for
-        quality-epoch invalidation.
+        quality-epoch invalidation.  A disk that overlaps no scan box
+        depends on every partition: an append routed to the nearest
+        partition grows that partition's scan box toward the disk, and
+        :meth:`~repro.serve.epochs.EpochRegistry.bump_point` likewise bumps
+        every partition for a write outside all of them.
         """
         c = kernels.centers_of(centers)
         r = np.asarray(radii, dtype=float)
@@ -1063,11 +1109,7 @@ class PartitionedStore:
         elif r.shape != (c.shape[0],):
             raise ValueError("radii must be a scalar or match the number of centers")
         boxes = self._tiers.snapshot().boxes
-        out: list[tuple[int, ...]] = []
-        for qi in range(c.shape[0]):
-            overlap = kernels.box_min_dists(boxes, c[qi]) <= r[qi]
-            out.append(tuple(int(p) for p in np.flatnonzero(overlap)))
-        return out
+        return _dependency_sets(kernels.box_min_dists_many(boxes, c) <= r[:, None])
 
     def knn_partition_sets(
         self,
@@ -1088,7 +1130,10 @@ class PartitionedStore:
         distance loses the ``(distance, id)`` tie.  Partitions whose scan
         box lower bound equals the k-th distance can therefore be pruned
         (pass ``append_only=False`` for the conservative ``<=`` bound,
-        which also covers hypothetical in-place mutation).
+        which also covers hypothetical in-place mutation).  A full answer
+        whose strict bound keeps no partition (every hit at distance 0)
+        depends on every partition, the same fallback as
+        :meth:`range_partition_sets`.
 
         A short or empty answer (the store held fewer than ``k`` points)
         depends on every partition — *exactly*, not conservatively: a
@@ -1101,25 +1146,39 @@ class PartitionedStore:
         newcomer's effective distance equals its raw distance and the raw
         scan-box lower bound still under-estimates it — the same pruning
         logic holds, just against the weighted k-th.
+
+        The whole batch is one pass: every full answer's hit coordinates
+        are gathered at once, one row-wise distance call measures them,
+        and each query's k-th is its segment maximum.
         """
         c = kernels.centers_of(centers)
         if c.shape[0] != len(hits):
             raise ValueError("hits must align with centers")
-        n_parts = self._tiers.n_partitions
         boxes = self._tiers.snapshot().boxes
-        w = self._weights if weighted else None
-        out: list[tuple[int, ...]] = []
-        for qi, ids in enumerate(hits):
-            if not ids or (k is not None and len(ids) < k):
-                out.append(tuple(range(n_parts)))
-                continue
-            coords = kernels.coords_of([self.points[i] for i in ids])
-            dists = kernels.dists_to(coords, c[qi])
-            if w is not None:
-                id_arr = np.asarray(ids, dtype=np.int64)
-                dists = dists / _weights_for(id_arr, w)
-            kth = float(dists.max())
-            lower = kernels.box_min_dists(boxes, c[qi])
-            overlap = lower < kth if append_only else lower <= kth
-            out.append(tuple(int(p) for p in np.flatnonzero(overlap)))
-        return out
+        full = [
+            qi for qi, ids in enumerate(hits) if ids and (k is None or len(ids) >= k)
+        ]
+        overlap = np.zeros((c.shape[0], boxes.shape[0]), dtype=bool)
+        if full:
+            lengths = [len(hits[qi]) for qi in full]
+            flat = [i for qi in full for i in hits[qi]]
+            coords = kernels.coords_of([self.points[i] for i in flat])
+            rows = np.asarray(full)
+            dists = kernels.paired_dists(coords, c[np.repeat(rows, lengths)])
+            if weighted and self._weights is not None:
+                dists = dists / _weights_for(np.asarray(flat, dtype=np.int64), self._weights)
+            kth = np.maximum.reduceat(dists, np.cumsum([0] + lengths[:-1]))[:, None]
+            lower = kernels.box_min_dists_many(boxes, c[rows])
+            overlap[rows] = lower < kth if append_only else lower <= kth
+        return _dependency_sets(overlap)
+
+
+def _dependency_sets(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Row-wise partition ids of a ``(queries, partitions)`` mask.
+
+    An empty row becomes every partition: a query no partition bounds is
+    a query any write could reach.
+    """
+    everything = tuple(range(mask.shape[1]))
+    rows, cols = np.nonzero(mask)
+    return [tuple(pids) or everything for pids in _split_by_row(cols, rows, mask.shape[0])]

@@ -7,8 +7,8 @@ typed :class:`~repro.serve.requests.RangeQueryRequest` /
 :class:`~repro.serve.requests.KnnQueryRequest` objects and
 
 * **coalesces** concurrent requests into single batched kernel calls
-  (:mod:`~repro.serve.coalescer` — bounded linger window on the
-  injectable clock, one warm executor reused across batches),
+  (:mod:`~repro.serve.coalescer` — self-clocked: a batch is what queued
+  while the previous batch ran; one warm executor reused across batches),
 * applies **admission control** with the ingest layer's backpressure
   vocabulary (:mod:`~repro.serve.admission` — ``block`` / ``reject`` /
   ``drop_oldest`` mapped to request semantics, per-class priorities),

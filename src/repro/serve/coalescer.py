@@ -2,18 +2,19 @@
 
 Concurrent in-flight requests join per-shape buckets (all range queries
 together; kNN queries per ``k`` — see
-:meth:`~repro.serve.requests.RangeQueryRequest.batch_key`).  A bucket is
-released as one batch when it reaches ``max_batch`` or when its *linger
-window* — ``linger`` seconds after the bucket's oldest request arrived —
-expires, bounding the latency a request can pay for the chance to share a
-kernel call.
+:meth:`~repro.serve.requests.RangeQueryRequest.batch_key`).  The batching
+is self-clocked: each time the dispatcher comes round it takes *every*
+pending request (:meth:`Coalescer.take_all`), so a batch is exactly what
+queued while the previous batch ran — an idle service answers a lone
+request at once, and a busy one batches as deeply as its own service
+time lets requests pile up.  Buckets larger than ``max_batch`` release as
+consecutive hard-capped chunks.
 
 The coalescer is a pure data structure: it never sleeps, spawns no tasks,
 and reads time only from the values passed in (the service stamps them
 from its injectable :class:`~repro.obs.clock.Clock`), so its batching is
-a deterministic function of the (arrival time, request) sequence — the
-property ``tests/serve/test_coalescer.py`` pins under a
-:class:`~repro.obs.clock.ManualClock`.
+a deterministic function of the arrival sequence — the property
+``tests/serve/test_coalescer.py`` pins.
 """
 
 from __future__ import annotations
@@ -47,22 +48,18 @@ class Batch:
 
 
 def _key_order(key: BatchKey) -> tuple[str, float]:
-    """Deterministic release order for simultaneously-due buckets."""
+    """Deterministic release order for buckets released together."""
     return str(key[0]), float(key[1]) if len(key) > 1 else -1.0  # type: ignore[arg-type]
 
 
 class Coalescer:
-    """Per-shape pending buckets with size and linger-window release."""
+    """Per-shape pending buckets, released together in ``max_batch`` chunks."""
 
-    def __init__(self, max_batch: int, linger: float) -> None:
+    def __init__(self, max_batch: int) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if linger < 0:
-            raise ValueError("linger must be non-negative")
         self.max_batch = max_batch
-        self.linger = linger
         self._buckets: dict[BatchKey, list[PendingQuery]] = {}
-        self._deadlines: dict[BatchKey, float] = {}
         self._seq = 0
         self._pending = 0
 
@@ -73,39 +70,25 @@ class Coalescer:
 
     def add(self, request: QueryRequest, future: "asyncio.Future", now: float) -> bool:
         """Enqueue one request; True when its bucket just reached max_batch."""
-        key = request.batch_key()
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = []
-            self._deadlines[key] = now + self.linger
+        bucket = self._buckets.setdefault(request.batch_key(), [])
         bucket.append(PendingQuery(request, future, now, self._seq))
         self._seq += 1
         self._pending += 1
         return len(bucket) >= self.max_batch
 
-    def next_deadline(self) -> float | None:
-        """Earliest linger expiry across buckets (None when empty)."""
-        if not self._deadlines:
-            return None
-        return min(self._deadlines.values())
+    def take_all(self) -> list[Batch]:
+        """Release every pending request, in deterministic key order.
 
-    def take_due(self, now: float, force: bool = False) -> list[Batch]:
-        """Release every full or linger-expired bucket (all of them if
-        ``force``), in deterministic key order."""
-        due = [
-            key
-            for key, bucket in self._buckets.items()
-            if force or len(bucket) >= self.max_batch or now >= self._deadlines[key]
-        ]
+        A bucket that outgrew ``max_batch`` while the dispatcher was busy
+        releases as consecutive hard-capped chunks, oldest first.
+        """
         batches = []
-        for key in sorted(due, key=_key_order):
-            items = self._buckets.pop(key)
-            del self._deadlines[key]
-            self._pending -= len(items)
-            # A bucket that outgrew max_batch while the dispatcher was busy
-            # releases as consecutive hard-capped chunks, oldest first.
+        for key in sorted(self._buckets, key=_key_order):
+            items = self._buckets[key]
             for start in range(0, len(items), self.max_batch):
                 batches.append(Batch(key, items[start : start + self.max_batch]))
+        self._buckets.clear()
+        self._pending = 0
         return batches
 
     def evict_for(self, priority: int) -> PendingQuery | None:
@@ -135,5 +118,4 @@ class Coalescer:
         self._pending -= 1
         if not bucket:
             del self._buckets[victim_key]
-            del self._deadlines[victim_key]
         return victim

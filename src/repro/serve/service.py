@@ -5,14 +5,14 @@
 service.submit(request)`` and the service answers from the
 epoch-validated cache when it can, otherwise coalesces concurrent
 requests into single ``range_query_many`` / ``knn_many`` kernel calls
-(bounded linger window, one warm executor reused across every batch) under
-explicit admission control.
+(self-clocked: a batch is what queued while the previous batch ran; one
+warm executor reused across every batch) under explicit admission control.
 
-Determinism: batching is a pure function of (arrival order, clock
-readings) — the clock is the injectable :class:`~repro.obs.clock.Clock`
-seam, and the dispatcher's only wait primitive is the injectable
-``pause`` coroutine — and responses are bit-identical across worker
-counts, batch shapes, and cache state (``tests/serve/test_service.py``).
+Determinism: the dispatcher's only wait is its wake ``Event``, so
+batching is a pure function of arrival order — no timer decides when a
+batch leaves — and responses are bit-identical across worker counts,
+batch shapes, and cache state (``tests/serve/test_service.py``).  The
+injectable :class:`~repro.obs.clock.Clock` only stamps latencies.
 
 Observability: with :func:`repro.obs.enable` on, every request gets a
 ``serve.request`` span covering queue wait plus service time, and the
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import asyncio
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..obs import OBS
 from ..obs.clock import Clock, MonotonicClock
@@ -102,17 +102,18 @@ class QueryService:
 
     Use as an async context manager::
 
-        async with QueryService(store, max_batch=64, linger=0.002) as svc:
+        async with QueryService(store, max_batch=64) as svc:
             resp = await svc.submit(RangeQueryRequest(center, 50.0))
 
     ``epochs`` defaults to a fresh :class:`~repro.serve.epochs.EpochRegistry`
     over the store's partitions; share it with an ingest engine via
     :func:`~repro.serve.epochs.ingest_epoch_hook` so gate-admitted writes
-    invalidate affected cached results.  ``clock`` and ``pause`` are the
-    two injectable time seams (a :class:`~repro.obs.clock.ManualClock`
-    plus a virtual pause make the dispatcher fully deterministic under
-    test); the default pause wakes early whenever a new request arrives,
-    so full batches never wait out their linger.
+    invalidate affected cached results.  The dispatcher never waits on a
+    timer: it sleeps on its wake event while nothing is pending, and
+    otherwise releases everything pending (in ``max_batch`` chunks) as
+    soon as it runs.  ``clock`` stamps queue and service latencies (a
+    :class:`~repro.obs.clock.ManualClock` makes them deterministic under
+    test).
 
     With ``auto_compact`` (the default), the dispatcher opportunistically
     folds the store's delta tails between batches once the worst
@@ -127,7 +128,6 @@ class QueryService:
         store: PartitionedStore,
         *,
         max_batch: int = 64,
-        linger: float = 0.002,
         max_pending: int = 1024,
         policy: str = "reject",
         class_limits: Mapping[int, int] | None = None,
@@ -136,7 +136,6 @@ class QueryService:
         workers: int | None = None,
         executor: Executor | None = None,
         clock: Clock | None = None,
-        pause: Callable[[float], Awaitable[None]] | None = None,
         auto_compact: bool = True,
         compact_threshold: float | None = None,
     ) -> None:
@@ -146,8 +145,7 @@ class QueryService:
         self.admission = AdmissionController(max_pending, policy, class_limits)
         self.stats = ServeStats()
         self._clock: Clock = clock if clock is not None else MonotonicClock()
-        self._coalescer = Coalescer(max_batch, linger)
-        self._pause = pause if pause is not None else self._default_pause
+        self._coalescer = Coalescer(max_batch)
         self._workers = workers
         self._given_executor = executor
         self._executor: Executor | None = None
@@ -298,8 +296,8 @@ class QueryService:
             self.stats.max_depth_seen = self._state.depth
         if obs_on:
             OBS.metrics.set_gauge("repro_serve_queue_depth", (), float(self._state.depth))
-        # Every arrival wakes the dispatcher: an idle loop starts a linger
-        # window, a pausing loop re-checks whether a bucket just filled.
+        # Every arrival wakes an idle dispatcher; it runs once the arrivals
+        # already scheduled on the loop have queued, and takes them all.
         self._wake.set()
         return await future
 
@@ -317,15 +315,6 @@ class QueryService:
         return SHED_RESPONSE
 
     # -- dispatcher --------------------------------------------------------------
-
-    async def _default_pause(self, delay: float) -> None:
-        """Wait out (at most) the remaining linger; a new arrival wakes early."""
-        if delay <= 0:
-            return
-        try:
-            await asyncio.wait_for(self._wake.wait(), timeout=delay)
-        except (asyncio.TimeoutError, TimeoutError):
-            pass
 
     async def _run(self) -> None:
         """Dispatcher task: batch, dispatch, repeat — fail loudly, never hang.
@@ -345,7 +334,7 @@ class QueryService:
     def _fail_pending(self, exc: BaseException) -> None:
         """Resolve every queued request exceptionally and refuse new ones."""
         self._state.stopping = True
-        for batch in self._coalescer.take_due(0.0, force=True):
+        for batch in self._coalescer.take_all():
             self._fail_batch(batch, exc)
 
     def _fail_batch(self, batch: Batch, exc: BaseException) -> None:
@@ -361,25 +350,19 @@ class QueryService:
                 if self._state.stopping:
                     break
                 self._wake.clear()
-                if self._coalescer.pending == 0 and not self._state.stopping:
-                    await self._wake.wait()
+                await self._wake.wait()
                 continue
-            now = self._clock.now()
-            batches = self._coalescer.take_due(now, force=self._state.stopping)
-            if batches:
-                for batch in batches:
-                    try:
-                        await self._dispatch(batch)
-                    except BaseException as exc:
-                        # The batch left the coalescer at take_due; its
-                        # futures must fail here or submitters hang forever.
-                        self._fail_batch(batch, exc)
-                        raise
-                self._maybe_compact()
-                continue
-            deadline = self._coalescer.next_deadline()
-            self._wake.clear()
-            await self._pause((deadline if deadline is not None else now) - now)
+            batches = self._coalescer.take_all()
+            for i, batch in enumerate(batches):
+                try:
+                    await self._dispatch(batch)
+                except BaseException as exc:
+                    # These batches left the coalescer at take_all; their
+                    # futures must fail here or submitters hang forever.
+                    for unserved in batches[i:]:
+                        self._fail_batch(unserved, exc)
+                    raise
+            self._maybe_compact()
 
     def _maybe_compact(self) -> None:
         """Opportunistic store compaction between batches (never during one).
@@ -477,8 +460,8 @@ class QueryService:
         now: float,
         obs_on: bool,
     ) -> None:
-        results = tuple(int(i) for i in result)
-        vector = tuple(epoch_snap[pid] for pid in pids)
+        results = tuple(map(int, result))
+        vector = tuple(map(epoch_snap.__getitem__, pids))
         self.cache.put(self._signature(pending.request, weights_epoch), results, pids, vector)
         self.stats.served += 1
         self._state.depth -= 1

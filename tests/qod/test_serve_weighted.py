@@ -33,7 +33,7 @@ def knn_requests(n, k=5, weighted=False):
 
 def serve_all(store, requests, **kwargs):
     async def go():
-        async with QueryService(store, linger=0.0, **kwargs) as svc:
+        async with QueryService(store, **kwargs) as svc:
             return await svc.submit_many(requests), svc.stats
 
     return asyncio.run(go())
@@ -58,7 +58,7 @@ class TestWeightedServing:
         weighted = knn_requests(4, weighted=True)
 
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 first = await svc.submit_many(plain + weighted)
                 second = await svc.submit_many(plain + weighted)  # all hits
                 return first, second, svc.stats
@@ -78,7 +78,7 @@ class TestWeightedServing:
         store.set_quality_weights(fresh_weights(rng, store))
 
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 first = await svc.submit(req)
                 repeat = await svc.submit(req)  # same epoch: a legitimate hit
                 store.set_quality_weights(fresh_weights(rng, store))
@@ -99,7 +99,7 @@ class TestWeightedServing:
         reqs = knn_requests(4)
 
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 await svc.submit_many(reqs)
                 store.set_quality_weights(fresh_weights(rng, store))
                 return await svc.submit_many(reqs)

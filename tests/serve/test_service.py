@@ -5,11 +5,13 @@ pytest-asyncio is deliberately not a dependency: each test drives its own
 event loop with ``asyncio.run``.  Determinism leans on two facts — the
 submit path is synchronous up to ``await future`` (so a ``gather`` or a
 burst of ``create_task`` enqueues in creation order before the dispatcher
-runs), and the only time sources are the injectable clock and pause seams.
+runs), and the dispatcher waits only on its wake event — no timer decides
+when a batch leaves.
 """
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.core import BBox, Point
@@ -57,7 +59,7 @@ def serve_all(store, requests, **kwargs):
 class TestCorrectness:
     def test_range_matches_direct_store(self, store):
         reqs = range_requests(6)
-        responses, stats = serve_all(store, reqs, linger=0.0)
+        responses, stats = serve_all(store, reqs)
         for req, resp in zip(reqs, responses):
             assert resp.ok and not resp.cached
             assert list(resp.results) == store.range_query(req.center, req.radius)
@@ -65,55 +67,67 @@ class TestCorrectness:
 
     def test_knn_matches_direct_store(self, store):
         reqs = [KnnQueryRequest(Point(120.0 * i, 90.0 * i), 7) for i in range(1, 6)]
-        responses, _ = serve_all(store, reqs, linger=0.0)
+        responses, _ = serve_all(store, reqs)
         for req, resp in zip(reqs, responses):
             assert list(resp.results) == store.knn(req.center, req.k)
 
     def test_conservation(self, store):
         reqs = range_requests(5) + range_requests(5)  # second half = cache hits
-        _, stats = serve_all(store, reqs, linger=0.0)
+        _, stats = serve_all(store, reqs)
         assert stats.submitted == stats.served + stats.cache_hits + stats.shed
 
 
 class TestCoalescing:
     def test_concurrent_burst_coalesces_into_one_kernel_call(self, store):
-        responses, stats = serve_all(store, range_requests(12), linger=0.0, max_batch=16)
+        responses, stats = serve_all(store, range_requests(12), max_batch=16)
         assert stats.kernel_calls == 1
         assert all(r.batch_size == 12 for r in responses)
         assert stats.coalesce_ratio() == 12.0
 
     def test_max_batch_is_a_hard_cap(self, store):
-        _, stats = serve_all(store, range_requests(10), linger=0.0, max_batch=4)
+        _, stats = serve_all(store, range_requests(10), max_batch=4)
         assert stats.max_batch_seen == 4
         assert stats.kernel_calls == 3  # 4 + 4 + 2
 
     def test_shapes_batch_separately(self, store):
         reqs = range_requests(4) + [KnnQueryRequest(Point(300, 300), k) for k in (3, 3, 5)]
-        _, stats = serve_all(store, reqs, linger=0.0, max_batch=16)
+        _, stats = serve_all(store, reqs, max_batch=16)
         # one range batch, one k=3 batch, one k=5 batch
         assert stats.kernel_calls == 3
 
     def test_batched_results_match_sequential(self, store):
         reqs = range_requests(9)
-        batched, _ = serve_all(store, reqs, linger=0.0, max_batch=16)
+        batched, _ = serve_all(store, reqs, max_batch=16)
         one_by_one = []
         for req in reqs:
-            resp, _ = serve_all(store, [req], linger=0.0)
+            resp, _ = serve_all(store, [req])
             one_by_one.append(resp[0])
         assert [r.results for r in batched] == [r.results for r in one_by_one]
+
+    def test_closed_loop_rounds_batch_whatever_queued(self, store):
+        """Self-clocked batching: each batch is exactly what the clients
+        queued while the previous one ran — here every client, every round."""
+        rounds = [range_requests(8, radius=30.0 + 10.0 * i) for i in range(3)]
+
+        async def go():
+            async with QueryService(store, max_batch=64) as svc:
+
+                async def client(c):
+                    return [(await svc.submit(reqs[c])).batch_size for reqs in rounds]
+
+                sizes = await asyncio.gather(*(client(c) for c in range(8)))
+            return sizes, svc.stats
+
+        sizes, stats = asyncio.run(go())
+        assert sizes == [[8, 8, 8]] * 8
+        assert stats.kernel_calls == 3
 
     def test_manual_clock_batching_is_deterministic(self, store):
         def run():
             clock = ManualClock()
 
-            async def virtual_pause(delay):
-                clock.advance(delay)
-                await asyncio.sleep(0)
-
             async def go():
-                async with QueryService(
-                    store, linger=0.01, max_batch=4, clock=clock, pause=virtual_pause
-                ) as svc:
+                async with QueryService(store, max_batch=4, clock=clock) as svc:
                     responses = await svc.submit_many(range_requests(10))
                 return [(r.results, r.batch_size) for r in responses]
 
@@ -127,7 +141,7 @@ class TestCache:
         req = range_requests(1)[0]
 
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 first = await svc.submit(req)
                 second = await svc.submit(req)
             return first, second
@@ -141,7 +155,7 @@ class TestCache:
         reqs = range_requests(4)
 
         async def go():
-            async with QueryService(store, linger=0.0, max_batch=4) as svc:
+            async with QueryService(store, max_batch=4) as svc:
                 await svc.submit_many(reqs)
                 await svc.submit_many(reqs)
             return svc.stats
@@ -152,7 +166,7 @@ class TestCache:
 
     def test_knn_cached_too(self, store):
         req = KnnQueryRequest(Point(400, 400), 5)
-        responses, stats = serve_all(store, [req, req], linger=0.0)
+        responses, stats = serve_all(store, [req, req])
         # duplicate signatures in one burst: the second waits for no batch
         assert stats.cache_hits + stats.served == 2
 
@@ -162,13 +176,13 @@ class TestWorkerEquivalence:
         reqs = range_requests(8) + [
             KnnQueryRequest(Point(200.0 * i, 150.0 * i), 6) for i in range(1, 5)
         ]
-        serial, _ = serve_all(store, reqs, linger=0.0, max_batch=16, workers=1)
-        pooled, stats = serve_all(store, reqs, linger=0.0, max_batch=16, workers=2)
+        serial, _ = serve_all(store, reqs, max_batch=16, workers=1)
+        pooled, stats = serve_all(store, reqs, max_batch=16, workers=2)
         assert [r.results for r in serial] == [r.results for r in pooled]
         assert stats.shed == 0
 
     def test_warm_executor_reused_across_batches(self, store):
-        _, stats = serve_all(store, range_requests(10), linger=0.0, max_batch=4)
+        _, stats = serve_all(store, range_requests(10), max_batch=4)
         assert stats.kernel_calls == 3
         assert stats.executor_reuses == stats.kernel_calls - 1
 
@@ -189,7 +203,7 @@ class TestAdmission:
 
     def test_reject_sheds_beyond_max_pending(self, store):
         responses, stats = self.run_burst(
-            store, range_requests(4), linger=0.0, max_pending=2, policy="reject"
+            store, range_requests(4), max_pending=2, policy="reject"
         )
         assert [r.status for r in responses] == [
             ResponseStatus.OK,
@@ -203,7 +217,7 @@ class TestAdmission:
         reqs = range_requests(1, priority=0) + range_requests(1, radius=70.0, priority=1)
         reqs += [RangeQueryRequest(Point(900, 900), 30.0, priority=0)]
         responses, stats = self.run_burst(
-            store, reqs, linger=0.0, max_pending=2, policy="drop_oldest"
+            store, reqs, max_pending=2, policy="drop_oldest"
         )
         # newcomer (priority 0) displaces the oldest priority-0 request
         assert [r.status for r in responses] == [
@@ -218,7 +232,7 @@ class TestAdmission:
             RangeQueryRequest(Point(900, 900), 30.0, priority=0)
         ]
         responses, _ = self.run_burst(
-            store, reqs, linger=0.0, max_pending=2, policy="drop_oldest"
+            store, reqs, max_pending=2, policy="drop_oldest"
         )
         assert [r.status for r in responses] == [
             ResponseStatus.OK,
@@ -228,7 +242,7 @@ class TestAdmission:
 
     def test_block_policy_is_lossless(self, store):
         responses, stats = self.run_burst(
-            store, range_requests(6), linger=0.0, max_pending=2, policy="block"
+            store, range_requests(6), max_pending=2, policy="block"
         )
         assert all(r.ok for r in responses)
         assert stats.shed == 0
@@ -239,7 +253,6 @@ class TestAdmission:
         responses, _ = self.run_burst(
             store,
             reqs,
-            linger=0.0,
             max_pending=8,
             policy="reject",
             class_limits={0: 1},
@@ -276,9 +289,9 @@ class TestLifecycle:
 
     def test_stop_drains_pending_requests(self, store):
         async def go():
-            svc = await QueryService(store, linger=60.0, max_batch=64).start()
+            svc = await QueryService(store, max_batch=64).start()
             tasks = [asyncio.create_task(svc.submit(r)) for r in range_requests(5)]
-            await asyncio.sleep(0)  # let submits enqueue; linger far away
+            await asyncio.sleep(0)  # let submits enqueue, not yet dispatched
             await svc.stop()
             return await asyncio.gather(*tasks)
 
@@ -294,7 +307,7 @@ class TestEpochInvalidation:
         )
 
         async def go():
-            async with QueryService(store, linger=0.0, max_batch=16) as svc:
+            async with QueryService(store, max_batch=16) as svc:
                 await svc.submit_many(reqs)  # populate cache
                 svc.epochs.bump(pid_sets[0])  # quality event in query 0's partitions
                 return await svc.submit_many(reqs), svc
@@ -315,7 +328,7 @@ class TestEpochInvalidation:
         req = KnnQueryRequest(Point(500, 500), len(store.points) + 5)
 
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 await svc.submit(req)
                 svc.epochs.bump([0])  # any single partition
                 return await svc.submit(req)
@@ -333,7 +346,7 @@ class TestEpochInvalidation:
         assert containing, "write point must be inside the partitioned region"
 
         async def go():
-            async with QueryService(store, linger=0.0, max_batch=16, epochs=epochs) as svc:
+            async with QueryService(store, max_batch=16, epochs=epochs) as svc:
                 await svc.submit_many(reqs)
                 before = epochs.snapshot()
                 with IngestEngine(
@@ -362,13 +375,67 @@ class TestEpochInvalidation:
                 assert resp.cached
 
 
+class TestEmptyDependencySets:
+    """A query no partition bounds must depend on every partition."""
+
+    @staticmethod
+    def small_store():
+        region = BBox(0.0, 0.0, 100.0, 100.0)
+        rng = np.random.default_rng(7)
+        pts = [Point(float(x), float(y)) for x, y in rng.uniform(0.0, 100.0, (200, 2))]
+        return PartitionedStore(pts, kd_partition(pts, region, 4))
+
+    def test_disk_outside_every_box_is_not_served_stale(self):
+        # The disk overlaps no scan box, so its answer is empty.  A reading
+        # just outside the store bumps every partition and is appended to
+        # the nearest one, whose scan box grows into the disk.
+        store = self.small_store()
+        epochs = EpochRegistry(store.partition_boxes)
+        hook = ingest_epoch_hook(epochs)
+        req = RangeQueryRequest(Point(130.0, 50.0), 10.0)
+
+        async def go():
+            async with QueryService(store, epochs=epochs) as svc:
+                first = await svc.submit(req)
+                hook(
+                    IngestEvent(
+                        sensor_id="s0", x=128.0, y=50.0, t=0.0, value=1.0, arrival_time=0.0
+                    )
+                )
+                store.append(Point(128.0, 50.0))
+                return first, await svc.submit(req)
+
+        first, second = asyncio.run(go())
+        assert first.results == ()
+        assert not second.cached
+        assert list(second.results) == store.rebuilt().range_query(req.center, req.radius)
+        assert second.results == (200,)
+
+    def test_zero_kth_knn_answer_depends_on_every_partition(self):
+        # Every hit sits at distance 0, so the strict bound keeps no
+        # partition; the answer must still be invalidated by a bump.
+        store = self.small_store()
+        req = KnnQueryRequest(store.points[0], 1)
+        assert store.knn_partition_sets([req.center], [[0]], 1) == [
+            tuple(range(len(store.partitions)))
+        ]
+
+        async def go():
+            async with QueryService(store) as svc:
+                await svc.submit(req)
+                svc.epochs.bump([len(store.partitions) - 1])
+                return await svc.submit(req)
+
+        assert not asyncio.run(go()).cached
+
+
 class TestObservability:
     def test_serve_metrics_and_spans(self, store):
         enable()
         reqs = range_requests(4)
 
         async def go():
-            async with QueryService(store, linger=0.0, max_batch=4) as svc:
+            async with QueryService(store, max_batch=4) as svc:
                 first = await svc.submit_many(reqs)
                 second = await svc.submit_many(reqs)
             return first + second
@@ -399,7 +466,7 @@ class TestObservability:
 
         async def go():
             async with QueryService(
-                store, linger=0.0, max_pending=1, policy="reject"
+                store, max_pending=1, policy="reject"
             ) as svc:
                 tasks = [
                     asyncio.create_task(svc.submit(r)) for r in range_requests(3)
@@ -424,7 +491,7 @@ class TestPoolReuse:
 
         def run_service():
             async def go():
-                async with QueryService(store, workers=2, linger=0.0) as svc:
+                async with QueryService(store, workers=2) as svc:
                     await svc.submit_many(range_requests(3))
                     return svc.stats
 
@@ -444,7 +511,7 @@ class TestPoolReuse:
             raise RuntimeError("kernel exploded")
 
         async def go():
-            svc = await QueryService(store, linger=0.0).start()
+            svc = await QueryService(store).start()
             svc.store = type(
                 "BrokenStore",
                 (),
@@ -463,6 +530,34 @@ class TestPoolReuse:
 
         asyncio.run(go())
 
+    def test_dispatcher_failure_fails_every_batch_of_the_round(self, store):
+        """Batches released together must all fail, not only the one that raised."""
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kernel exploded")
+
+        async def go():
+            svc = await QueryService(store).start()
+            svc.store = type(
+                "BrokenStore",
+                (),
+                {
+                    "range_query_many": staticmethod(boom),
+                    "knn_many": staticmethod(boom),
+                    "partition_boxes": store.partition_boxes,
+                },
+            )()
+            reqs = [range_requests(1)[0], KnnQueryRequest(Point(300.0, 300.0), 3)]
+            results = await asyncio.wait_for(
+                asyncio.gather(*(svc.submit(r) for r in reqs), return_exceptions=True),
+                timeout=10.0,
+            )
+            assert [type(r) for r in results] == [RuntimeError, RuntimeError]
+            with pytest.raises(RuntimeError, match="kernel exploded"):
+                await svc.stop()
+
+        asyncio.run(go())
+
 
 class TestLiveIngestCompaction:
     """Opportunistic compaction between batches (live ingest tentpole)."""
@@ -476,7 +571,7 @@ class TestLiveIngestCompaction:
     def test_auto_compaction_triggers_after_batch(self, store, rng, box):
         self.heavy_delta(store, rng)
         assert store.max_delta_fraction() >= 0.25
-        responses, stats = serve_all(store, range_requests(4), linger=0.0)
+        responses, stats = serve_all(store, range_requests(4))
         assert all(r.status is ResponseStatus.OK for r in responses)
         assert stats.compactions >= 1
         assert stats.points_compacted >= 1
@@ -485,14 +580,14 @@ class TestLiveIngestCompaction:
 
     def test_auto_compact_off_leaves_deltas(self, store, rng, box):
         self.heavy_delta(store, rng)
-        _, stats = serve_all(store, range_requests(4), linger=0.0, auto_compact=False)
+        _, stats = serve_all(store, range_requests(4), auto_compact=False)
         assert stats.compactions == 0
         assert store.delta_stats()["delta_points"] > 0.0
 
     def test_below_threshold_no_compaction(self, store, rng, box):
         store.append(Point(500.0, 500.0))
         _, stats = serve_all(
-            store, range_requests(4), linger=0.0, compact_threshold=0.9
+            store, range_requests(4), compact_threshold=0.9
         )
         assert stats.compactions == 0
 
@@ -502,7 +597,7 @@ class TestLiveIngestCompaction:
         self.heavy_delta(store, rng)
 
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 req = range_requests(1)[0]
                 first = await svc.submit(req)
                 # the dispatcher compacted after the first batch
@@ -526,13 +621,13 @@ class TestLiveIngestCompaction:
             KnnQueryRequest(Point(300.0, 300.0), 5),
             KnnQueryRequest(Point(900.0, 100.0), 3),
         ]
-        ra, _ = serve_all(a, reqs, linger=0.0)
-        rb, _ = serve_all(b, reqs, linger=0.0, auto_compact=False)
+        ra, _ = serve_all(a, reqs)
+        rb, _ = serve_all(b, reqs, auto_compact=False)
         assert [r.results for r in ra] == [r.results for r in rb]
 
     def test_store_stats_exposes_delta_accounting(self, store, rng, box):
         async def go():
-            async with QueryService(store, linger=0.0) as svc:
+            async with QueryService(store) as svc:
                 return svc.store_stats()
 
         stats = asyncio.run(go())
@@ -551,7 +646,7 @@ class TestLiveIngestCompaction:
         self.heavy_delta(store, rng)
         enable()
         try:
-            _, stats = serve_all(store, range_requests(4), linger=0.0)
+            _, stats = serve_all(store, range_requests(4))
             assert stats.compactions >= 1
             snap = OBS.metrics.snapshot()
             assert snap.counter("repro_serve_compactions_total") >= 1

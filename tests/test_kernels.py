@@ -261,8 +261,27 @@ class TestDistanceKernels:
         empty = np.zeros((0, 2))
         assert kernels.dists_to(empty, Point(0, 0)).shape == (0,)
         assert kernels.cross_dists(empty, empty).shape == (0, 0)
+        assert kernels.paired_dists(empty, empty).shape == (0,)
         assert kernels.knn_select(np.zeros(0), np.zeros(0, dtype=np.int64), 5).shape == (0,)
         assert kernels.box_min_dists(np.zeros((0, 4)), Point(0, 0)).shape == (0,)
+        assert kernels.box_min_dists_many(np.zeros((0, 4)), np.ones((3, 2))).shape == (3, 0)
+        assert kernels.box_min_dists_many(np.ones((5, 4)), empty).shape == (0, 5)
+
+    @given(raw=coords_strategy(min_size=1, max_size=30), centers=coords_strategy(min_size=1, max_size=8))
+    def test_batched_forms_bit_identical_to_per_query(self, raw, centers):
+        """The batch routers lean on exact equality, not closeness: each row
+        of a batched kernel must equal the per-query kernel bit for bit."""
+        coords = kernels.coords_of(as_points(raw))
+        c = kernels.coords_of(as_points(centers))
+        lo = np.minimum(coords, coords[::-1])
+        boxes = np.hstack([lo, lo + np.abs(coords - coords[::-1])])
+        many = kernels.box_min_dists_many(boxes, c)
+        cross = kernels.cross_dists(c, coords)
+        for q in range(c.shape[0]):
+            assert np.array_equal(many[q], kernels.box_min_dists(boxes, c[q]))
+            assert np.array_equal(cross[q], kernels.dists_to(coords, c[q]))
+            rep = np.repeat(c[q : q + 1], coords.shape[0], axis=0)
+            assert np.array_equal(kernels.paired_dists(coords, rep), kernels.dists_to(coords, c[q]))
 
     @given(
         bx=st.tuples(finite, finite, finite, finite),
@@ -343,7 +362,9 @@ PARITY_BUILDERS = {
         rng.uniform(-100.0, 100.0, size=(6, 2)),
         rng.uniform(10.0, 200.0, size=6),
     ),
+    "paired_dists": lambda rng: (_twin_coords(rng, 25), _twin_coords(rng, 25)[::-1]),
     "box_min_dists": lambda rng: (_twin_boxes(rng), Point(5.0, 5.0)),
+    "box_min_dists_many": lambda rng: (_twin_boxes(rng), rng.uniform(-120.0, 120.0, size=(7, 2))),
     "box_max_dists": lambda rng: (_twin_boxes(rng), Point(5.0, 5.0)),
     "box_gap_dists": lambda rng: (BBox(-20.0, -20.0, 20.0, 20.0), _twin_boxes(rng)),
     "haversine_m_many": lambda rng: (
@@ -372,6 +393,8 @@ _EMPTY_BUILDERS = {
     "robust_zscores": lambda rng: (np.zeros(0),),
     "both_leg_flags": lambda rng: (np.zeros(0, dtype=bool),),
     "knn_select": lambda rng: (np.zeros(0), np.zeros(0, dtype=np.int64), 4),
+    "paired_dists": lambda rng: (np.zeros((0, 2)), np.zeros((0, 2))),
+    "box_min_dists_many": lambda rng: (np.zeros((0, 4)), rng.uniform(-50.0, 50.0, size=(3, 2))),
     "chunked_range_hits": lambda rng: (
         [],
         rng.uniform(-100.0, 100.0, size=(3, 2)),

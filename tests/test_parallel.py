@@ -642,9 +642,17 @@ class TestWorkerPoolManager:
         manager = WorkerPoolManager()
         try:
             lease = manager.acquire(2)
-            procs = lease._pool._pool._processes  # reach into the warm pool
-            os.kill(next(iter(procs)), signal.SIGKILL)
-            # The broken pool is detected mid-map, restarted, and retried.
+            pool = lease._pool._pool  # reach into the warm pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            # Map only once the death has settled: the pool's manager thread
+            # marks the pool broken, reaps every worker and exits.  Mapping
+            # any earlier races that thread — the surviving worker can answer
+            # before the death is noticed, and no restart happens.
+            watcher = pool._executor_manager_thread
+            watcher.join(timeout=30.0)
+            assert not watcher.is_alive(), "killed worker was never reaped"
+            assert lease._pool.broken
+            # The broken pool is refused at submit, restarted, and retried.
             assert lease.map_ordered(_square, [5, 6]) == [25, 36]
             assert manager.stats.pools_restarted == 1
             assert manager.stats.pools_created == 2
