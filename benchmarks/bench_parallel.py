@@ -1,27 +1,22 @@
 """Benchmark: fleet-level serial vs parallel execution (repro.parallel).
 
-Times the rewired fleet consumers on a 1k-trajectory workload at
-``workers`` in {1, 2, cpu_count}:
+Times the pool consumer on a 1k-trajectory workload at ``workers`` in
+{1, 2, cpu_count}:
 
 * ``Pipeline.run_many`` — a 3-stage cleaning pipeline with a quality probe
-  over every trajectory (shared-memory columnar handoff),
-* ``PartitionedStore.range_query_many`` / ``knn_many`` — partitioned query
-  fan-out over a skewed point set,
-* ``pairwise_distances`` — a chunked Hausdorff similarity matrix.
+  over every trajectory (shared-memory columnar handoff).
 
-Every parallel result is verified equal to the ``workers=1`` result before
-timings are recorded.  Beyond the per-workload timings, the run records the
-warm-pool economics introduced by :class:`repro.parallel.WorkerPoolManager`:
+Store batches, the serving layer and pairwise similarity run in-process
+(their batches cost less than a pool round-trip), so they have no row
+here.  The parallel result is verified equal to the ``workers=1`` result
+before timings are recorded.  Beyond the timings, the run records the
+warm-pool economics of :class:`repro.parallel.WorkerPoolManager`:
 
 * ``pool`` — cold pool start (spawn + prewarm) vs acquiring the already-warm
   managed pool, plus the manager's reuse counters,
-* ``arena`` — :class:`repro.parallel.SharedArenaCache` hit rate and byte
-  occupancy after the workloads (repeat calls should be hits, not creates),
-* ``dispatch`` — the calibrated serial-vs-parallel cost model and its
-  measured crossover batch size,
-* ``gate`` — per-workload ``speedup_2x > 1`` verdicts, asserted only on
-  multi-core runners for batches above the measured crossover and recorded
-  as skipped-with-reason otherwise.
+* ``gate`` — the ``pipeline_run_many`` ``speedup_2x > 1`` verdict, asserted
+  on runners with >= 2 physical cores and recorded as skipped-with-reason
+  on one core or under ``--smoke``.
 
 Writes ``BENCH_parallel.json`` at the repo root with full reproducibility
 metadata: RNG seed, worker counts, ``cpu_count`` *and* ``physical_cores``,
@@ -32,10 +27,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_parallel.py            # full run
     PYTHONPATH=src python benchmarks/bench_parallel.py --smoke    # CI gate
 
-``--smoke`` runs a small workload, asserts serial/parallel *equality* plus
-pool reuse (worker spawns bounded by the pool size across the whole run),
-and applies the speedup gate only where the runner's cores and the measured
-crossover make it meaningful.
+``--smoke`` runs a small workload and asserts serial/parallel *equality*
+plus pool reuse (worker spawns bounded by the pool size across the whole
+run); its timings are too short to gate.
 """
 
 import argparse
@@ -45,35 +39,19 @@ import multiprocessing
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from repro.analytics import pairwise_distances
 from repro.cleaning import median_filter, moving_average, remove_points, speed_outliers
-from repro.core import BBox, Pipeline, Point, Stage, Trajectory
-from repro.parallel import (
-    DISPATCH_ENV,
-    ProcessExecutor,
-    default_start_method,
-    dispatch_decision,
-    get_arena,
-    get_executor,
-    get_pool_manager,
-)
-from repro.querying import PartitionedStore, kd_partition, skewed_points
+from repro.core import Pipeline, Stage, Trajectory
+from repro.parallel import ProcessExecutor, default_start_method, get_executor, get_pool_manager
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 SEED = 2022
-REGION = BBox(0.0, 0.0, 1000.0, 1000.0)
 
-#: Workloads whose ``speedup_2x`` the CI gate may assert on.
-GATED_WORKLOADS = (
-    "partitioned_range_query_many",
-    "partitioned_knn_many",
-    "pairwise_hausdorff",
-)
+#: Workloads whose ``speedup_2x`` the speedup gate asserts on.
+GATED_WORKLOADS = ("pipeline_run_many",)
 
 
 def timed(fn):
@@ -117,24 +95,6 @@ def resolved_start_method() -> dict:
     if env is not None:
         return {"resolved": env, "source": "env"}
     return {"resolved": multiprocessing.get_start_method(), "source": "platform-default"}
-
-
-@contextmanager
-def forced_dispatch(mode: str):
-    """Pin ``REPRO_PARALLEL_DISPATCH`` for a block (restored on exit).
-
-    Workload timings run under ``parallel`` so a calibrated model can never
-    reroute the measured parallel path back to serial mid-benchmark.
-    """
-    prev = os.environ.get(DISPATCH_ENV)
-    os.environ[DISPATCH_ENV] = mode
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(DISPATCH_ENV, None)
-        else:
-            os.environ[DISPATCH_ENV] = prev
 
 
 # -- fleet pipeline (module-level stages: picklable under any start method) ----
@@ -223,28 +183,24 @@ def bench_pool_economics(manager) -> dict:
     }
 
 
-def apply_speedup_gate(results, physical_cores, crossover, batch_sizes) -> dict:
+def apply_speedup_gate(results, physical_cores, smoke) -> dict:
     """Per-workload gate verdicts; assertions only where they are meaningful.
 
     ``speedup_2x > 1`` is asserted when the runner has >= 2 physical cores
-    AND the workload's batch size sits above the measured crossover — below
-    it, serial is *supposed* to win, and on one core parallel cannot.
+    and the workload is full size — on one core parallel cannot win, and
+    smoke timings are too short to gate.
     """
     gate = {}
     failures = []
     for name in GATED_WORKLOADS:
         speedup = results[name]["speedup_2x"]
-        batch = batch_sizes[name]
         if physical_cores < 2:
             gate[name] = {
                 "speedup_2x": speedup,
                 "skipped": f"single-core runner (physical_cores={physical_cores})",
             }
-        elif batch < crossover:
-            gate[name] = {
-                "speedup_2x": speedup,
-                "skipped": f"batch {batch} below measured crossover {crossover:.0f}",
-            }
+        elif smoke:
+            gate[name] = {"speedup_2x": speedup, "skipped": "smoke workload"}
         else:
             passed = speedup > 1.0
             gate[name] = {"speedup_2x": speedup, "passed": passed}
@@ -270,20 +226,14 @@ def main(argv=None) -> int:
     # The ISSUE-3 grid: serial, minimal parallel, and full fan-out.
     workers_list = sorted({1, 2, max_workers})
     if args.smoke:
-        n_traj, n_points, n_queries, n_sim = 60, 40, 30, 12
+        n_traj, n_points = 60, 40
         workers_list = sorted({1, 2})
     else:
-        n_traj, n_points, n_queries, n_sim = args.trajectories, args.points, 400, 60
+        n_traj, n_points = args.trajectories, args.points
 
     rng = np.random.default_rng(SEED)
     fleet = make_fleet(rng, n_traj, n_points)
     pipeline = make_pipeline()
-    points = skewed_points(rng, 20_000 if not args.smoke else 2_000, REGION)
-    partitions = kd_partition(points, REGION, 64)
-    store = PartitionedStore(points, partitions)
-    centers = [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(n_queries)]
-    radii = rng.uniform(30, 80, n_queries).tolist()
-    sim_fleet = fleet[:n_sim]
 
     results: dict[str, dict] = {}
     manager = get_pool_manager()
@@ -293,51 +243,14 @@ def main(argv=None) -> int:
     # as a long-lived service would see it.
     pools = {w: get_executor(w) for w in workers_list}
     try:
-        with forced_dispatch("parallel"):
-            bench_workload(
-                "pipeline_run_many",
-                lambda w: pipeline.run_many(fleet, executor=pools[w]),
-                pipeline_outputs,
-                workers_list,
-                results,
-            )
-            bench_workload(
-                "partitioned_range_query_many",
-                lambda w: store.range_query_many(centers, radii, executor=pools[w]),
-                lambda out: out,
-                workers_list,
-                results,
-            )
-            bench_workload(
-                "partitioned_knn_many",
-                lambda w: store.knn_many(centers, 10, executor=pools[w]),
-                lambda out: out,
-                workers_list,
-                results,
-            )
-            bench_workload(
-                "pairwise_hausdorff",
-                lambda w: pairwise_distances(sim_fleet, "hausdorff", executor=pools[w]),
-                lambda out: out.tobytes(),
-                workers_list,
-                results,
-            )
-        arena_stats = get_arena().stats()
-        pool_stats = bench_pool_economics(manager)
-        model = manager.calibrate(
-            2,
-            probe_items=64 if args.smoke else 256,
-            rounds=1 if args.smoke else 3,
+        bench_workload(
+            "pipeline_run_many",
+            lambda w: pipeline.run_many(fleet, executor=pools[w]),
+            pipeline_outputs,
+            workers_list,
+            results,
         )
-        crossover = model.crossover_items()
-        with forced_dispatch("auto"):
-            dispatch_info = model.as_dict()
-            dispatch_info["routed_below_crossover"] = dispatch_decision(
-                max(1, int(crossover * 0.5)), 2
-            )
-            dispatch_info["routed_above_crossover"] = dispatch_decision(
-                int(crossover * 4) + 1, 2
-            )
+        pool_stats = bench_pool_economics(manager)
     finally:
         for pool in pools.values():
             pool.close()
@@ -350,12 +263,7 @@ def main(argv=None) -> int:
         assert manager_stats["pools_created"] == 1, manager_stats
         assert manager_stats["pool_reuses"] >= 1, manager_stats
 
-    batch_sizes = {
-        "partitioned_range_query_many": n_queries,
-        "partitioned_knn_many": n_queries,
-        "pairwise_hausdorff": (n_sim * (n_sim - 1)) // 2,
-    }
-    gate = apply_speedup_gate(results, physical, crossover, batch_sizes)
+    gate = apply_speedup_gate(results, physical, args.smoke)
 
     width = max(len(n) for n in results)
     cols = [f"workers_{w}_s" for w in workers_list]
@@ -368,9 +276,7 @@ def main(argv=None) -> int:
     print(
         f"pool: cold_start={pool_stats['cold_start_s']:.4f}s "
         f"warm_acquire={pool_stats['warm_acquire_s']:.4f}s "
-        f"({pool_stats['cold_vs_warm']:.1f}x); "
-        f"arena hit rate {arena_stats['hit_rate']:.2f}; "
-        f"dispatch crossover {crossover:.0f} items"
+        f"({pool_stats['cold_vs_warm']:.1f}x)"
     )
 
     payload = {
@@ -385,10 +291,6 @@ def main(argv=None) -> int:
             "workload": {
                 "trajectories": n_traj,
                 "points_per_trajectory": n_points,
-                "store_points": len(points),
-                "partitions": len(partitions),
-                "queries": n_queries,
-                "similarity_fleet": n_sim,
             },
             "smoke": bool(args.smoke),
         },
@@ -397,8 +299,6 @@ def main(argv=None) -> int:
             for name, row in results.items()
         },
         "pool": {**pool_stats, "manager": manager_stats},
-        "arena": arena_stats,
-        "dispatch": dispatch_info,
         "gate": gate,
     }
     if args.smoke:

@@ -8,9 +8,9 @@ query results it could have changed, then lands in the partitioned
 store's delta tier via ``PartitionedStoreSink``, queryable immediately
 with no rebuild.  Meanwhile a fleet of closed-loop
 dashboard clients hammers the serving layer with repeated range and kNN
-queries; the service coalesces concurrent requests into batched kernel
-calls on one warm executor, answers repeats from the epoch-validated
-cache, and sheds background traffic first when the queue fills.
+queries; the service coalesces concurrent requests into in-process
+batched kernel calls, answers repeats from the epoch-validated cache,
+and sheds background traffic first when the queue fills.
 
 Run:  PYTHONPATH=src python examples/serve_quality_gateway.py
 """
@@ -145,7 +145,6 @@ def main() -> None:
     print(f"{'shed':>18}: {stats.shed}")
     print(f"{'kernel calls':>18}: {stats.kernel_calls}")
     print(f"{'coalesce ratio':>18}: {stats.coalesce_ratio():.1f} requests per call")
-    print(f"{'executor reuses':>18}: {stats.executor_reuses} (one warm pool)")
     if store_stats:
         print(
             f"{'delta tier':>18}: {store_stats['delta_points']:.0f} of "

@@ -11,8 +11,7 @@ bounds that prune candidates before the expensive measure runs.  Provided:
 * :func:`bbox_lower_bound` — a metric lower bound on Hausdorff from the
   trajectories' bounding boxes,
 * :func:`pairwise_distances` — the full symmetric distance matrix over a
-  fleet, computed in pair chunks and optionally fanned out to a process
-  pool (trajectories travel to workers via shared memory, never pickled),
+  fleet, one in-process pass over the upper-triangle pairs,
 * :class:`SimilaritySearch` — k-most-similar search with lower-bound
   pruning, reporting how much work pruning saved.
 """
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,75 +146,26 @@ PAIRWISE_METRICS = {
 }
 
 
-def _pairwise_chunk_task(payload: tuple) -> list[float]:
-    """Pool worker: evaluate one chunk of (i, j) pairs against the shared batch.
-
-    Trajectories are rebuilt from the shared columnar block at most once per
-    chunk (memoized), so a chunk of ``m`` pairs touching ``t`` distinct
-    trajectories pays ``t`` rebuilds, not ``2m``.
-    """
-    from ..parallel import SharedTrajectoryBatch
-
-    handle, pairs, metric, metric_kwargs = payload
-    fn = PAIRWISE_METRICS[metric]
-    with SharedTrajectoryBatch.attach(handle) as batch:
-        cache: dict[int, Trajectory] = {}
-
-        def get(i: int) -> Trajectory:
-            if i not in cache:
-                cache[i] = batch.trajectory(i)
-            return cache[i]
-
-        return [float(fn(get(i), get(j), **metric_kwargs)) for i, j in pairs]
-
-
 def pairwise_distances(
-    trajectories: Sequence[Trajectory],
-    metric: str = "hausdorff",
-    *,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    executor: Any = None,
-    **metric_kwargs,
+    trajectories: Sequence[Trajectory], metric: str = "hausdorff", **metric_kwargs
 ) -> np.ndarray:
     """Symmetric ``(n, n)`` distance matrix over a trajectory fleet.
 
-    The upper triangle is split into contiguous pair chunks
-    (:func:`repro.parallel.chunk_spans`) and each chunk is one task; with
-    ``workers > 1`` tasks run on a process pool that reads the fleet from
-    one shared-memory columnar block.  The matrix is identical for every
-    worker count.  ``metric`` is a key of :data:`PAIRWISE_METRICS`;
-    measure-specific arguments (e.g. ``epsilon`` for ``"edr"``, ``band``
-    for ``"dtw"``) pass through as keyword arguments.
+    Each upper-triangle pair ``(i, j)``, ``i < j``, is measured once in
+    row-major order and mirrored.  ``metric`` is a key of
+    :data:`PAIRWISE_METRICS`; measure-specific arguments (e.g. ``epsilon``
+    for ``"edr"``, ``band`` for ``"dtw"``) pass through as keyword
+    arguments.
     """
     if metric not in PAIRWISE_METRICS:
         raise ValueError(f"unknown metric {metric!r}; options: {sorted(PAIRWISE_METRICS)}")
-    from ..parallel import SerialExecutor, SharedTrajectoryBatch, chunk_spans, resolve_executor
-    from ..parallel.shm import get_arena
-
+    fn = PAIRWISE_METRICS[metric]
     trajs = list(trajectories)
     n = len(trajs)
     out = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if not pairs:
-        return out
-    fn = PAIRWISE_METRICS[metric]
-    with resolve_executor(workers, executor, n_items=len(pairs)) as ex:
-        if isinstance(ex, SerialExecutor):
-            values = [float(fn(trajs[i], trajs[j], **metric_kwargs)) for i, j in pairs]
-        else:
-            spans = chunk_spans(len(pairs), chunk_size)
-            # Arena-leased block: repeated matrices over same-scale fleets
-            # reuse one pooled segment instead of create/unlink per call.
-            with SharedTrajectoryBatch.create(trajs, arena=get_arena()) as batch:
-                payloads = [
-                    (batch.handle, pairs[start:stop], metric, metric_kwargs)
-                    for start, stop in spans
-                ]
-                chunks = ex.map_ordered(_pairwise_chunk_task, payloads)
-            values = [v for chunk in chunks for v in chunk]
-    for (i, j), value in zip(pairs, values):
-        out[i, j] = out[j, i] = value
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = float(fn(trajs[i], trajs[j], **metric_kwargs))
     return out
 
 

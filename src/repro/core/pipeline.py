@@ -207,7 +207,7 @@ class Pipeline(Generic[T]):
             if obs_on
             else _NULL
         )
-        with cm, resolve_executor(workers, executor, n_items=len(items)) as ex:
+        with cm, resolve_executor(workers, executor) as ex:
             if all(isinstance(d, Trajectory) for d in items):
                 with SharedTrajectoryBatch.create(items) as batch:
                     payloads = [(self, batch.handle, start, stop) for start, stop in spans]
@@ -248,7 +248,7 @@ class Pipeline(Generic[T]):
             if OBS.enabled
             else _NULL
         )
-        with cm, resolve_executor(workers, executor, n_items=len(configs)) as ex:
+        with cm, resolve_executor(workers, executor) as ex:
             if isinstance(data, Trajectory):
                 with SharedTrajectoryBatch.create([data]) as batch:
                     payloads = [(p, None, batch.handle) for _, p in configs]

@@ -149,7 +149,6 @@ class IngestEngine:
         self._gate_factories = list(gate_factories)
         self._queues: list[queue.Queue] = [queue.Queue(maxsize=queue_size) for _ in range(n_shards)]
         self._chains: list[dict[str, list[StreamingGate]]] = [{} for _ in range(n_shards)]
-        self._latencies: list[list[float]] = [[] for _ in range(n_shards)]
         self._processed: list[int] = [0] * n_shards
         self._closed = False
         self._executor = ThreadPoolExecutor(
@@ -249,13 +248,6 @@ class IngestEngine:
 
     # -- observability -----------------------------------------------------------
 
-    def gate_latencies(self) -> list[float]:
-        """Per-event gate-chain latencies (seconds) across all shards."""
-        out: list[float] = []
-        for shard in self._latencies:
-            out.extend(shard)
-        return out
-
     def processed_per_shard(self) -> list[int]:
         """How many readings each shard worker has processed."""
         return list(self._processed)
@@ -284,7 +276,6 @@ class IngestEngine:
         start = time.perf_counter()
         outcomes = run_chain(gates, event)
         elapsed = time.perf_counter() - start
-        self._latencies[shard].append(elapsed)
         self._processed[shard] += 1
         if OBS.enabled:
             OBS.metrics.observe("repro_ingest_gate_seconds", (("shard", str(shard)),), elapsed)

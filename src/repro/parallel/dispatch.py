@@ -1,205 +1,22 @@
-"""Adaptive serial-vs-parallel dispatch: a measured cost model per pool.
+"""Serial-vs-parallel routing of one batch.
 
-The seed-era BENCH_parallel.json showed ``workers=2`` *slower* than
-``workers=1`` on every workload: below some batch size the fixed dispatch
-cost (payload pickling, pool round-trip, result transfer) dwarfs the kernel
-work being distributed.  This module gives the parallel layer a measured
-basis for that decision instead of a guess:
-
-* :func:`calibrate_dispatch` times a seeded micro-probe serially (per-item
-  kernel cost) and an idle pool round-trip (fixed dispatch overhead) on a
-  warm executor — once per pool, best-of-rounds,
-* :class:`DispatchModel` turns the two costs into a crossover batch size:
-  parallel pays only when the per-item saving ``item_cost * (1 - 1/workers)``
-  amortizes the overhead over the batch,
-* :func:`dispatch_decision` routes one batch ``"serial"`` or ``"parallel"``,
-  honouring the ``REPRO_PARALLEL_DISPATCH`` env override.
-
-Routing only chooses *where* a batch runs.  Chunk boundaries and per-item
-seeds are pure functions of the work-list (:mod:`repro.parallel.chunking`),
-so the ``workers=1`` path is bit-identical to ``workers=N`` for every
-consumer — a dispatch decision can change timings, never results.  With no
-calibrated model registered (the default outside the benchmarks), ``auto``
-behaves exactly like the pre-model layer: requested workers run parallel.
-
-Timing here goes through the injectable :class:`~repro.obs.clock.Clock`
-seam, keeping this module mechanically verifiable under reprolint R1.
+Pools pay only for whole-fleet work (:meth:`repro.core.Pipeline.run_many`
+and its relatives), so routing is a pure function of the requested worker
+count: a batch runs on a pool exactly when more than one worker was asked
+for.  Chunk boundaries and per-item seeds never depend on the route
+(:mod:`repro.parallel.chunking`), so the decision changes timings, never
+results.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Sequence
-
-import numpy as np
-
-from ..obs.clock import Clock, MonotonicClock
-from .chunking import derive_seed
-
-#: Environment override for batch routing: "serial" and "parallel" force the
-#: backend unconditionally; "auto" (or unset) consults the calibrated model.
-DISPATCH_ENV = "REPRO_PARALLEL_DISPATCH"
-
-#: Accepted values of :data:`DISPATCH_ENV`.
-DISPATCH_MODES = ("serial", "parallel", "auto")
-
-#: Base seed for the calibration probe workload (fixed: calibration must
-#: measure the same floating-point work on every box).
-CALIBRATION_SEED = 2022
-
-#: Elapsed-time floor (seconds) so a too-coarse clock can never produce a
-#: zero cost and an infinite/zero crossover.
-_MIN_ELAPSED = 1e-9
-
-
-def dispatch_mode() -> str:
-    """Routing mode from ``REPRO_PARALLEL_DISPATCH`` (default ``"auto"``)."""
-    mode = os.environ.get(DISPATCH_ENV, "").strip().lower() or "auto"
-    if mode not in DISPATCH_MODES:
-        raise ValueError(
-            f"{DISPATCH_ENV}={mode!r} is not a valid dispatch mode; "
-            f"options: {DISPATCH_MODES}"
-        )
-    return mode
-
-
-@dataclass(frozen=True)
-class DispatchModel:
-    """Calibrated cost model for one (workers, start_method) pool.
-
-    ``dispatch_overhead_s`` is the fixed price of one pooled map call (an
-    idle round-trip on the warm pool); ``item_cost_s`` is the serial cost of
-    one probe item.  Both come from :func:`calibrate_dispatch`.
-    """
-
-    workers: int
-    start_method: str | None
-    dispatch_overhead_s: float
-    item_cost_s: float
-    probe_items: int
-
-    def crossover_items(self, item_cost_s: float | None = None) -> float:
-        """Batch size where parallel starts winning for the given item cost.
-
-        Distributing ``n`` items over ``w`` workers saves at most
-        ``n * cost * (1 - 1/w)`` versus serial while paying the fixed
-        dispatch overhead, so the breakeven batch size is
-        ``overhead / (cost * (1 - 1/w))``.  Defaults to the calibrated
-        probe-item cost; pass a workload-specific per-item cost to place the
-        crossover for that workload.
-        """
-        cost = self.item_cost_s if item_cost_s is None else item_cost_s
-        cost = max(cost, _MIN_ELAPSED)
-        saving_fraction = 1.0 - 1.0 / max(2, self.workers)
-        return self.dispatch_overhead_s / (cost * saving_fraction)
-
-    def choose(self, n_items: int, item_cost_s: float | None = None) -> str:
-        """``"serial"`` below the crossover batch size, ``"parallel"`` above."""
-        return "parallel" if n_items >= self.crossover_items(item_cost_s) else "serial"
-
-    def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view (crossover included) for benchmark provenance."""
-        out: dict[str, Any] = asdict(self)
-        out["crossover_items"] = self.crossover_items()
-        return out
-
-
-def _calibration_probe(index: int) -> float:
-    """One seeded probe item: a small vectorized reduction, kernel-shaped.
-
-    Deliberately sized like one cheap query kernel call (a few thousand
-    flops on a contiguous block) so the calibrated per-item cost lands in
-    the same regime as the real fan-out consumers.
-    """
-    rng = np.random.default_rng(derive_seed(CALIBRATION_SEED, index))
-    block = rng.standard_normal(256)
-    return float(np.sqrt(block * block + 1.0).sum())
-
-
-def _probe_chunk(indices: Sequence[int]) -> float:
-    """Pool-side calibration task: run the probe over one index chunk."""
-    return sum(_calibration_probe(i) for i in indices)
-
-
-def _best_of(rounds: int, clock: Clock, run: Callable[[], None]) -> float:
-    """Minimum elapsed seconds of ``run`` over ``rounds`` attempts."""
-    best = float("inf")
-    for _ in range(max(1, rounds)):
-        t0 = clock.now()
-        run()
-        best = min(best, clock.now() - t0)
-    return max(best, _MIN_ELAPSED)
-
-
-def calibrate_dispatch(
-    executor: Any,
-    *,
-    clock: Clock | None = None,
-    probe_items: int = 256,
-    rounds: int = 3,
-) -> DispatchModel:
-    """Measure one pool's dispatch overhead and the serial probe-item cost.
-
-    ``executor`` must be a warm parallel executor (a
-    :class:`~repro.parallel.pool.PoolLease` or
-    :class:`~repro.parallel.executor.ProcessExecutor`); one untimed
-    round-trip warms it before measurement.  The overhead measurement maps
-    one near-empty task per worker through the pool (pickling + IPC +
-    scheduling, no kernel work); the item cost runs the same seeded probe
-    in-process.  Both take the best of ``rounds`` attempts, which rejects
-    scheduler noise on shared runners.
-    """
-    clock = MonotonicClock() if clock is None else clock
-    workers = int(getattr(executor, "workers", 1))
-    start_method = getattr(executor, "start_method", None)
-    idle_payloads = [(i,) for i in range(max(1, workers))]
-    executor.map_ordered(_probe_chunk, idle_payloads)  # warm, untimed
-    overhead = _best_of(
-        rounds, clock, lambda: executor.map_ordered(_probe_chunk, idle_payloads)
-    )
-
-    def serial_run() -> None:
-        for i in range(probe_items):
-            _calibration_probe(i)
-
-    serial_run()  # warm numpy/caches, untimed
-    item_cost = _best_of(rounds, clock, serial_run) / max(1, probe_items)
-    return DispatchModel(
-        workers=workers,
-        start_method=start_method,
-        dispatch_overhead_s=overhead,
-        item_cost_s=item_cost,
-        probe_items=probe_items,
-    )
-
 
 def dispatch_decision(
-    n_items: int | None,
-    workers: int | None,
-    start_method: str | None = None,
-    *,
-    item_cost_s: float | None = None,
+    n_items: int | None, workers: int | None, start_method: str | None = None
 ) -> str:
-    """Route one batch: ``"serial"`` or ``"parallel"``.
+    """``"parallel"`` when ``workers > 1``, else ``"serial"``.
 
-    The env override wins outright; in ``auto`` mode the decision consults
-    the pool manager's calibrated model for ``(workers, start_method)``.
-    Unknown batch size, serial-anyway worker counts, or an uncalibrated
-    pool all resolve to ``"parallel"`` — i.e. exactly the legacy behaviour,
-    so the model only ever *removes* dispatch overhead that measurement
-    proved unprofitable.
+    ``n_items`` and ``start_method`` are accepted so callers can describe
+    the batch; neither changes the route.
     """
-    mode = dispatch_mode()
-    if mode == "serial":
-        return "serial"
-    if mode == "parallel":
-        return "parallel"
-    if n_items is None or workers is None or workers <= 1:
-        return "parallel"
-    from .pool import get_pool_manager
-
-    model = get_pool_manager().model_for(workers, start_method)
-    if model is None:
-        return "parallel"
-    return model.choose(n_items, item_cost_s)
+    return "parallel" if workers is not None and workers > 1 else "serial"

@@ -1,8 +1,8 @@
 """Backend-agnostic executors and the deterministic ``map_chunks`` API.
 
 The :class:`Executor` protocol is the seam every fleet-level consumer
-(:meth:`repro.core.Pipeline.run_many`, partitioned query fan-out, pairwise
-similarity, the Table-1 grid) programs against: an ordered map over
+(:meth:`repro.core.Pipeline.run_many` / ``run_ablations``, the Table-1
+grid) programs against: an ordered map over
 picklable payloads.  Two backends are provided — :class:`SerialExecutor`
 (in-process, zero dependencies, the ``workers=1`` fallback) and
 :class:`ProcessExecutor` (a ``concurrent.futures`` process pool) — and
@@ -28,7 +28,6 @@ from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkabl
 
 from ..obs import OBS, WorkerCapture
 from .chunking import chunk_spans, derive_seeds
-from .dispatch import dispatch_decision
 
 #: Environment override for the pool start method ("fork", "spawn",
 #: "forkserver"); unset means the platform default.
@@ -95,7 +94,7 @@ class ProcessExecutor:
     """Process-pool executor over ``concurrent.futures``.
 
     The pool is created lazily on first use and reused across calls, so a
-    long-lived executor amortizes worker startup over many query batches.
+    long-lived executor amortizes worker startup over many fleet batches.
     ``fn`` and payloads must be picklable (module-level functions); shared
     state should travel via :mod:`repro.parallel.shm` handles instead of
     being pickled per task.
@@ -114,7 +113,7 @@ class ProcessExecutor:
             # forked while the parent has no tracker hands every child
             # ``_fd=None``, so each worker spawns a private tracker on its
             # first shm attach; if those workers later die, their trackers
-            # exit and unlink every segment they registered — including arena
+            # exit and unlink every segment they registered — including
             # segments still live in this process.  Pre-seeding the tracker
             # makes all children (fork and spawn alike) share the parent's.
             resource_tracker.ensure_running()
@@ -194,43 +193,16 @@ def get_executor(workers: int | None = None, start_method: str | None = None) ->
 
 @contextmanager
 def resolve_executor(
-    workers: int | None = None,
-    executor: Executor | None = None,
-    *,
-    n_items: int | None = None,
+    workers: int | None = None, executor: Executor | None = None
 ) -> Iterator[Executor]:
     """Yield ``executor`` if given, else a pool lease (released on exit).
 
     The standard consumer idiom: a caller-supplied executor is borrowed (the
     caller controls its lifetime); an implicit one is owned by this context
     and released even on error paths.
-
-    With ``n_items`` given, the batch is routed through
-    :func:`~repro.parallel.dispatch.dispatch_decision` first: below the
-    calibrated crossover (or under ``REPRO_PARALLEL_DISPATCH=serial``) a
-    :class:`SerialExecutor` is yielded instead — safe because every
-    consumer's serial path is bit-identical to its parallel path — and a
-    caller-supplied executor is left untouched (and warm) for later batches.
     """
     if executor is not None:
-        requested = getattr(executor, "workers", 1)
-        if (
-            requested > 1
-            and dispatch_decision(n_items, requested, getattr(executor, "start_method", None))
-            == "serial"
-        ):
-            yield SerialExecutor()
-            return
         yield executor
-        return
-    if workers is not None and workers < 0:
-        workers = os.cpu_count() or 1
-    if (
-        workers is not None
-        and workers > 1
-        and dispatch_decision(n_items, workers) == "serial"
-    ):
-        yield SerialExecutor()
         return
     owned = get_executor(workers)
     try:
@@ -299,7 +271,7 @@ def map_chunks(
         else _NULL
     )
     out: list[Any] = []
-    with cm, resolve_executor(workers, executor, n_items=len(items)) as ex:
+    with cm, resolve_executor(workers, executor) as ex:
         for chunk_result in ex.map_ordered(_call_chunk, payloads):
             out.extend(chunk_result)
     if len(out) != len(items):
@@ -342,7 +314,7 @@ def map_reduce(
         if OBS.enabled
         else _NULL
     )
-    with cm, resolve_executor(workers, executor, n_items=len(items)) as ex:
+    with cm, resolve_executor(workers, executor) as ex:
         partials = ex.map_ordered(_call_chunk_scalar, payloads)
     if initial is None:
         if not partials:

@@ -2,12 +2,12 @@
 
 Before this module, every fan-out call site built its own
 :class:`~repro.parallel.executor.ProcessExecutor` and tore it down at the
-end of the call — so each ``run_many`` / batched query / similarity matrix
-paid full worker spawn (tens to hundreds of ms, seconds under ``spawn``)
-for milliseconds of kernel work.  :class:`WorkerPoolManager` fixes the
-economics: one pool per ``(workers, start_method)`` key lives for the
-process, pre-warmed with an idle round-trip at creation, health-checked on
-every acquire, and restarted transparently when workers die.
+end of the call — so each ``run_many`` paid full worker spawn (tens to
+hundreds of ms, seconds under ``spawn``) on top of its work.
+:class:`WorkerPoolManager` fixes the economics: one pool per
+``(workers, start_method)`` key lives for the process, pre-warmed with an
+idle round-trip at creation, health-checked on every acquire, and
+restarted transparently when workers die.
 
 Consumers never hold the pool itself; :meth:`WorkerPoolManager.acquire`
 returns a :class:`PoolLease` — an :class:`~repro.parallel.executor.Executor`
@@ -16,9 +16,8 @@ the next caller.  ``get_executor`` hands these out, so the whole library
 shares pools without any call-site changes.
 
 Lifecycle: :func:`shutdown_all` (registered via :mod:`atexit`, also called
-by ``repro.parallel.shutdown_all``) closes every pool and drops calibrated
-dispatch models, so pytest runs, benchmarks, and examples exit without
-orphaned workers.
+by ``repro.parallel.shutdown_all``) closes every pool, so pytest runs,
+benchmarks, and examples exit without orphaned workers.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..obs import OBS
-from .dispatch import DispatchModel, calibrate_dispatch
 from .executor import ProcessExecutor, default_start_method
 
 #: Pool identity: (worker count, *resolved* start method).
@@ -67,8 +65,7 @@ class PoolLease:
     out broken mid-call (a worker died), the lease asks the manager for a
     restarted pool and retries the map once; a second failure propagates.
 
-    ``pool_was_warm`` records whether this lease reused an existing pool —
-    the serving layer surfaces it as its ``pool_reuses`` stats counter.
+    ``pool_was_warm`` records whether this lease reused an existing pool.
     """
 
     def __init__(
@@ -107,10 +104,9 @@ class PoolLease:
 
 
 class WorkerPoolManager:
-    """Process-wide registry of warm pools and their dispatch models.
+    """Process-wide registry of warm pools.
 
-    Thread-safe: the serving layer acquires from the event-loop thread
-    while tests and benchmarks acquire from the main thread.  Pools are
+    Thread-safe: consumers may acquire from any thread.  Pools are
     created lazily on first acquire for a key, pre-warmed with an idle
     round-trip so the first real batch never pays worker startup, and kept
     until :meth:`shutdown_all`.
@@ -120,7 +116,6 @@ class WorkerPoolManager:
         self._lock = threading.RLock()
         self._pools: dict[PoolKey, ProcessExecutor] = {}
         self._active_leases: dict[PoolKey, int] = {}
-        self._models: dict[PoolKey, DispatchModel] = {}
         self.stats = PoolStats()
 
     # -- key resolution ----------------------------------------------------------
@@ -202,12 +197,11 @@ class WorkerPoolManager:
             return sum(pool.workers for pool in self._pools.values())
 
     def shutdown_all(self) -> None:
-        """Close every pool and forget calibrated models (idempotent)."""
+        """Close every pool (idempotent)."""
         with self._lock:
             pools = list(self._pools.values())
             self._pools.clear()
             self._active_leases.clear()
-            self._models.clear()
         for pool in pools:
             pool.close()
         with self._lock:
@@ -219,41 +213,6 @@ class WorkerPoolManager:
             total = sum(pool.workers for pool in self._pools.values())
             OBS.metrics.set_gauge("repro_parallel_pool_active_workers", (), float(total))
 
-    # -- dispatch models ---------------------------------------------------------
-
-    def model_for(self, workers: int, start_method: str | None = None) -> DispatchModel | None:
-        """The calibrated dispatch model for a pool key, if any."""
-        with self._lock:
-            return self._models.get(self.resolve_key(workers, start_method))
-
-    def set_model(self, model: DispatchModel) -> None:
-        """Register a dispatch model directly (tests, precomputed profiles)."""
-        with self._lock:
-            self._models[(model.workers, model.start_method)] = model
-
-    def calibrate(
-        self,
-        workers: int,
-        start_method: str | None = None,
-        *,
-        probe_items: int = 256,
-        rounds: int = 3,
-    ) -> DispatchModel:
-        """Calibrate (once) and register the dispatch model for a pool key.
-
-        Calibration is explicit — benchmarks and long-lived services opt in —
-        never triggered implicitly by a query path, so test workloads keep
-        the legacy always-parallel behaviour unless they ask for the model.
-        """
-        with self._lock:
-            existing = self._models.get(self.resolve_key(workers, start_method))
-        if existing is not None:
-            return existing
-        with self.acquire(workers, start_method) as lease:
-            model = calibrate_dispatch(lease, probe_items=probe_items, rounds=rounds)
-        with self._lock:
-            return self._models.setdefault((model.workers, model.start_method), model)
-
 
 _MANAGER = WorkerPoolManager()
 
@@ -264,16 +223,13 @@ def get_pool_manager() -> WorkerPoolManager:
 
 
 def shutdown_all() -> None:
-    """Tear down every warm pool and the shared shm arena.
+    """Tear down every warm pool.
 
     Registered via :mod:`atexit` so pytest runs, benchmarks, and examples
-    exit clean (no orphaned workers, no leaked segments); safe to call
-    eagerly and repeatedly — the next ``acquire``/``share`` simply rebuilds.
+    exit clean (no orphaned workers); safe to call eagerly and repeatedly —
+    the next ``acquire`` simply rebuilds.
     """
-    from .shm import close_default_arena
-
     _MANAGER.shutdown_all()
-    close_default_arena()
 
 
 atexit.register(shutdown_all)

@@ -13,25 +13,13 @@ Lifecycle contract: the creating process owns the segment and must
 ``unlink`` it exactly once; workers ``close`` their attachments.  Both
 classes are context managers whose ``__exit__`` runs on error paths too, so
 a crashing worker or a raising consumer never leaks segments (see
-``tests/test_parallel.py::TestSharedMemoryLifecycle``).
-
-For *repeated* fan-out calls (batched queries, similarity matrices), even
-correct per-call create/copy/unlink dominates: :class:`SharedArenaCache`
-leases power-of-two-sized segments from a reusable arena instead, so the
-second call onward pays one ``memcpy`` and zero segment syscalls.  Arena
-segments carry a *generation* tag (their creation ordinal) so the
-worker-side attachment cache detects a recycled segment name and re-attaches
-instead of reading a stale mapping.  The arena owns its segments: leases
-return to the free list, :meth:`SharedArenaCache.close_all` is the single
-owner seam that unlinks everything (wired into
-``repro.parallel.shutdown_all`` and its ``atexit`` hook).
+``tests/test_parallel.py::TestSharedMemoryLifecycle``).  The consumers are
+the fleet pipeline paths (:meth:`repro.core.Pipeline.run_many` and
+``run_ablations``), which create one segment per call.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -54,23 +42,6 @@ class ArrayHandle:
     """Picklable reference to one array living in a shared segment."""
 
     name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class ArenaHandle:
-    """Picklable reference to an array in an arena-leased segment.
-
-    ``generation`` is the segment's creation ordinal (a process-global
-    monotonic counter): two segments can end up with the same OS-level name
-    if the kernel recycles it after an unlink, but never with the same
-    generation — which is what lets workers cache attachments by name and
-    still detect staleness (see :func:`_attach_arena`).
-    """
-
-    name: str
-    generation: int
     shape: tuple[int, ...]
     dtype: str
 
@@ -107,10 +78,8 @@ class SharedArray:
         return ArrayHandle(self._shm.name, tuple(self.array.shape), str(self.array.dtype))
 
     @classmethod
-    def attach(cls, handle: "ArrayHandle | ArenaHandle") -> "SharedArray":
-        """Map the segment read-only; arena handles go through the attach cache."""
-        if isinstance(handle, ArenaHandle):
-            return _attach_arena(handle)
+    def attach(cls, handle: ArrayHandle) -> "SharedArray":
+        """Map the segment read-only (borrower side)."""
         shm = shared_memory.SharedMemory(name=handle.name)
         view = np.ndarray(handle.shape, dtype=np.dtype(handle.dtype), buffer=shm.buf)
         view.flags.writeable = False
@@ -134,298 +103,6 @@ class SharedArray:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-
-# -- reusable arena ------------------------------------------------------------
-
-
-class _ArenaSegment:
-    """One arena-owned segment: mapping, capacity, generation, free flag."""
-
-    __slots__ = ("shm", "capacity", "generation", "free", "last_used", "closed")
-
-    def __init__(self, shm: shared_memory.SharedMemory, capacity: int, generation: int) -> None:
-        self.shm = shm
-        self.capacity = capacity
-        self.generation = generation
-        self.free = False
-        self.last_used = 0
-        self.closed = False
-
-
-class ArenaArray(SharedArray):
-    """An arena lease: the owner-side view of an array in a pooled segment.
-
-    Behaves like an owned :class:`SharedArray` (read-only ``array`` view,
-    context manager, idempotent ``release``) except that ``release`` returns
-    the segment to its arena's free list instead of unlinking it — the next
-    ``share`` of a fitting array reuses the segment with zero syscalls.
-    """
-
-    def __init__(self, arena: "SharedArenaCache", segment: _ArenaSegment, array: np.ndarray):
-        super().__init__(segment.shm, array, owner=True)
-        self._arena = arena
-        self._segment = segment
-
-    @property
-    def handle(self) -> ArenaHandle:  # type: ignore[override]
-        return ArenaHandle(
-            self._shm.name,
-            self._segment.generation,
-            tuple(self.array.shape),
-            str(self.array.dtype),
-        )
-
-    @property
-    def alive(self) -> bool:
-        """False once released or after the arena's ``close_all``.
-
-        Long-lived consumers (e.g. :class:`~repro.querying.distributed
-        .PartitionedStore`) cache leases across calls and use this to know
-        when a cached lease must be re-shared.
-        """
-        return not self._released and not self._segment.closed
-
-    def release(self) -> None:
-        """Return the segment to the arena (idempotent); never unlinks here."""
-        if self._released:
-            return
-        self._released = True
-        self.array = np.empty(0)  # drop the buffer view; the mapping stays open
-        self._arena._return(self._segment)
-
-
-class SharedArenaCache:
-    """A reusable pool of power-of-two shared-memory segments.
-
-    ``share(array)`` copies the array into the smallest free segment that
-    fits (a *hit*: no syscalls, one memcpy) or creates a new segment rounded
-    up to a power of two (a *miss*) so differently-sized arrays of the same
-    magnitude land in reusable buckets.  Free segments are LRU-evicted
-    whenever total arena bytes exceed ``max_bytes`` (leased segments are
-    never evicted).  All segment ownership concentrates here:
-    :meth:`close_all` is the single unlink seam, called by
-    ``repro.parallel.shutdown_all`` and registered ``atexit``.
-
-    Thread-safe; the returned :class:`ArenaArray` leases are not meant to be
-    shared between threads.
-    """
-
-    def __init__(self, max_bytes: int | None = None) -> None:
-        if max_bytes is None:
-            max_bytes = int(os.environ.get(ARENA_BUDGET_ENV, "") or DEFAULT_ARENA_BUDGET)
-        if max_bytes < 1:
-            raise ValueError("arena byte budget must be positive")
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._segments: list[_ArenaSegment] = []
-        self._tick = 0
-        self.leases = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def share(self, array: np.ndarray) -> ArenaArray:
-        """Lease a segment holding a copy of ``array`` (read-only view)."""
-        arr = np.ascontiguousarray(array)
-        need = max(1, arr.nbytes)
-        with self._lock:
-            self._tick += 1
-            self.leases += 1
-            fitting = [s for s in self._segments if s.free and s.capacity >= need]
-            if fitting:
-                segment = min(fitting, key=lambda s: (s.capacity, s.last_used))
-                self.hits += 1
-            else:
-                capacity = 1 << (need - 1).bit_length()
-                shm = shared_memory.SharedMemory(create=True, size=capacity)
-                segment = _ArenaSegment(shm, capacity, next(_GENERATIONS))
-                self._segments.append(segment)
-                self.misses += 1
-                if OBS.enabled:
-                    OBS.metrics.inc("repro_shm_segments_total")
-                self._evict_over_budget()
-            segment.free = False
-            segment.last_used = self._tick
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.shm.buf)
-        view[...] = arr
-        view.flags.writeable = False
-        if OBS.enabled:
-            OBS.metrics.inc("repro_shm_bytes_total", (), float(arr.nbytes))
-            self._export_gauge()
-        return ArenaArray(self, segment, view)
-
-    def _return(self, segment: _ArenaSegment) -> None:
-        """Put a lease's segment back on the free list (no-op if closed)."""
-        with self._lock:
-            if segment.closed:
-                return
-            self._tick += 1
-            segment.free = True
-            segment.last_used = self._tick
-            self._evict_over_budget()
-        if OBS.enabled:
-            self._export_gauge()
-
-    def _evict_over_budget(self) -> None:
-        """Unlink LRU *free* segments until under budget (lock held)."""
-        while self._total_bytes() > self.max_bytes:
-            free = [s for s in self._segments if s.free]
-            if not free:
-                return  # only leased segments left; nothing evictable
-            victim = min(free, key=lambda s: s.last_used)
-            self._segments.remove(victim)
-            self._unlink_segment(victim)
-            self.evictions += 1
-
-    def _total_bytes(self) -> int:
-        return sum(s.capacity for s in self._segments)
-
-    @staticmethod
-    def _unlink_segment(segment: _ArenaSegment) -> None:
-        segment.closed = True
-        segment.shm.close()
-        try:
-            segment.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def close_all(self) -> None:
-        """Unlink every segment, leased ones included (the owner seam).
-
-        Outstanding :class:`ArenaArray` leases flip to ``alive == False``;
-        their later ``release`` is a no-op.  The arena itself stays usable —
-        the next ``share`` simply creates fresh segments.
-        """
-        with self._lock:
-            segments = list(self._segments)
-            self._segments.clear()
-        for segment in segments:
-            self._unlink_segment(segment)
-            # Purge this process's cached attachment too: the mapping now
-            # points at an unlinked segment, and serving it to a later
-            # attach of a recycled name would silently read dead memory.
-            cached = _ATTACH_CACHE.pop(segment.shm.name, None)
-            if cached is not None:
-                cached[1].close()
-        if OBS.enabled:
-            self._export_gauge()
-
-    def stats(self) -> dict[str, float]:
-        """Hit/miss/eviction counts and byte occupancy (benchmark provenance)."""
-        with self._lock:
-            total = self._total_bytes()
-            free = sum(s.capacity for s in self._segments if s.free)
-            n_segments = len(self._segments)
-        return {
-            "leases": self.leases,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hits / self.leases if self.leases else 0.0,
-            "bytes_total": total,
-            "bytes_free": free,
-            "segments": n_segments,
-            "max_bytes": self.max_bytes,
-        }
-
-    def _export_gauge(self) -> None:
-        with self._lock:
-            total = self._total_bytes()
-        OBS.metrics.set_gauge("repro_parallel_arena_bytes", (), float(total))
-
-
-def _generation_counter():
-    """Process-global segment creation ordinals (never reused, even across arenas)."""
-    value = 0
-    while True:
-        value += 1
-        yield value
-
-
-_GENERATIONS = _generation_counter()
-
-#: Environment override for the default arena's byte budget.
-ARENA_BUDGET_ENV = "REPRO_PARALLEL_ARENA_BUDGET"
-
-#: Default arena budget: 256 MiB comfortably holds the columnar blocks of
-#: every benchmark workload while staying irrelevant next to typical RAM.
-DEFAULT_ARENA_BUDGET = 256 * 1024 * 1024
-
-_DEFAULT_ARENA: SharedArenaCache | None = None
-_DEFAULT_ARENA_LOCK = threading.Lock()
-
-
-def get_arena() -> SharedArenaCache:
-    """The process-wide default arena (created on first use)."""
-    global _DEFAULT_ARENA
-    with _DEFAULT_ARENA_LOCK:
-        if _DEFAULT_ARENA is None:
-            _DEFAULT_ARENA = SharedArenaCache()
-        return _DEFAULT_ARENA
-
-
-def close_default_arena() -> None:
-    """``close_all`` the default arena if it was ever created (atexit seam)."""
-    with _DEFAULT_ARENA_LOCK:
-        arena = _DEFAULT_ARENA
-    if arena is not None:
-        arena.close_all()
-
-
-# -- worker-side attachment cache ----------------------------------------------
-
-#: Process-local cache of arena attachments: name -> (generation, mapping).
-#: Pool workers serve many tasks against the same arena segments; caching
-#: the mapping makes re-attach free.  Bounded: least-recently-used mappings
-#: are closed once the cache exceeds its cap.  The cap must comfortably
-#: exceed the distinct segments one task can reference — a two-tier
-#: :class:`~repro.querying.distributed.PartitionedStore` leases two base
-#: segments per partition, so a 64-partition store alone needs 128 — or
-#: every batch thrashes the cache instead of hitting it.
-_ATTACH_CACHE: "OrderedDict[str, tuple[int, shared_memory.SharedMemory]]" = OrderedDict()
-_ATTACH_CACHE_MAX = 512
-
-
-class _CachedAttachment(SharedArray):
-    """Borrower-side arena attachment whose mapping outlives the borrow.
-
-    ``release`` drops the array view but deliberately leaves the segment
-    mapped — the mapping belongs to the process-local cache, so the next
-    task attaching the same (name, generation) pays nothing.
-    """
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        self.array = np.empty(0)  # the mapping stays open in _ATTACH_CACHE
-
-
-def _attach_arena(handle: ArenaHandle) -> SharedArray:
-    """Attach via the process-local cache, re-attaching on generation mismatch.
-
-    A cached mapping whose generation differs from the handle's refers to a
-    *previous* segment that happened to get the same OS name — it is closed
-    and replaced, never read.
-    """
-    cached = _ATTACH_CACHE.get(handle.name)
-    if cached is not None and cached[0] != handle.generation:
-        cached[1].close()
-        del _ATTACH_CACHE[handle.name]
-        cached = None
-    if cached is None:
-        shm = shared_memory.SharedMemory(name=handle.name)
-        _ATTACH_CACHE[handle.name] = (handle.generation, shm)
-        while len(_ATTACH_CACHE) > _ATTACH_CACHE_MAX:
-            _, (_, stale) = _ATTACH_CACHE.popitem(last=False)
-            stale.close()
-    else:
-        _ATTACH_CACHE.move_to_end(handle.name)
-        shm = cached[1]
-    view = np.ndarray(handle.shape, dtype=np.dtype(handle.dtype), buffer=shm.buf)
-    view.flags.writeable = False
-    return _CachedAttachment(shm, view, owner=False)
 
 
 @dataclass(frozen=True)
@@ -456,15 +133,8 @@ class SharedTrajectoryBatch:
         self._object_ids = object_ids
 
     @classmethod
-    def create(
-        cls, trajectories: list[Trajectory], arena: SharedArenaCache | None = None
-    ) -> "SharedTrajectoryBatch":
-        """Pack the fleet into one segment — arena-leased when ``arena`` given.
-
-        With an arena, repeated batch creates reuse a pooled segment (the
-        batch's ``release`` returns the lease instead of unlinking); without
-        one the legacy per-call owned segment is created.
-        """
+    def create(cls, trajectories: list[Trajectory]) -> "SharedTrajectoryBatch":
+        """Pack the fleet into one owned segment."""
         offsets = [0]
         for traj in trajectories:
             offsets.append(offsets[-1] + len(traj))
@@ -474,7 +144,7 @@ class SharedTrajectoryBatch:
             else np.zeros((0, 3))
         )
         # Ownership transfers to the returned batch, whose release() pairs it.
-        block = arena.share(packed) if arena is not None else SharedArray.create(packed)
+        block = SharedArray.create(packed)
         return cls(block, tuple(offsets), tuple(t.object_id for t in trajectories))
 
     @property

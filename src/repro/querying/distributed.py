@@ -19,13 +19,12 @@ columnar *delta tails* that every query merges on the fly (no rebuild),
 and :meth:`~PartitionedStore.compact` folds tails back into packed base
 columns partition by partition.  Batch queries
 (:meth:`PartitionedStore.range_query_many` /
-:meth:`~PartitionedStore.knn_many`) filter candidates with vectorized
-reductions, and ``workers > 1`` fans query chunks out to a process pool:
-base columns travel as cached arena leases
-(:mod:`repro.parallel.shm`), delta tails ride the task payload — the
-SATO-style [104] place where parallelism pays.  Routing decisions,
-result order, and the partitions-touched accounting are identical at
-every worker count and every compaction state.
+:meth:`~PartitionedStore.knn_many`) route the whole batch in one
+vectorized pass over one read snapshot, in-process: a batch of hundreds
+of queries costs milliseconds, less than shipping it to a worker pool.
+Routing decisions, result order, and the partitions-touched accounting
+(the SATO-style [104] communication proxy) are identical at every
+compaction state.
 
 The measurable claim: on skewed data, median partitioning yields near-1
 imbalance while uniform tiling degrades — "node load-balancing and data
@@ -36,8 +35,7 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -165,8 +163,11 @@ class _ColumnarView:
     concatenation.  ``boxes`` are the *scan* boxes (each partition's static
     bbox grown to cover every member point), which keeps bbox pruning
     sound for points routed to a partition from outside its static extent.
-    Both the in-process scan path and the pool workers run the same
-    routing functions over this one structure.
+
+    Taken under the tier lock, it holds the base arrays by reference (they
+    are replaced, never mutated) and zero-copy prefixes of the delta
+    buffers (rows below the published size are never rewritten), so a
+    snapshot stays valid while appends and compactions continue.
     """
 
     __slots__ = ("boxes", "coords_chunks", "index_chunks", "part_sizes")
@@ -192,51 +193,6 @@ class _ColumnarView:
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-class _StoreSnapshot:
-    """Immutable capture of the tier state taken under the tier lock.
-
-    Holds the base arrays by reference (they are replaced, never mutated)
-    and zero-copy prefixes of the delta buffers (rows below the published
-    size are never rewritten), so a snapshot stays valid while appends
-    and compactions continue.
-    """
-
-    __slots__ = ("boxes", "base_coords", "base_index", "deltas", "_view")
-
-    def __init__(
-        self,
-        boxes: np.ndarray,
-        base_coords: list[np.ndarray],
-        base_index: list[np.ndarray],
-        deltas: list[tuple[np.ndarray, np.ndarray] | None],
-    ) -> None:
-        self.boxes = boxes
-        self.base_coords = base_coords
-        self.base_index = base_index
-        self.deltas = deltas
-        self._view: _ColumnarView | None = None
-
-    def view(self) -> _ColumnarView:
-        if self._view is not None:
-            return self._view
-        coords_chunks: list[list[np.ndarray]] = []
-        index_chunks: list[list[np.ndarray]] = []
-        for p in range(self.boxes.shape[0]):
-            cc: list[np.ndarray] = []
-            ic: list[np.ndarray] = []
-            if self.base_coords[p].shape[0]:
-                cc.append(self.base_coords[p])
-                ic.append(self.base_index[p])
-            delta = self.deltas[p]
-            if delta is not None:
-                cc.append(delta[0])
-                ic.append(delta[1])
-            coords_chunks.append(cc)
-            index_chunks.append(ic)
-        self._view = _ColumnarView(self.boxes, coords_chunks, index_chunks)
-        return self._view
-
-
 #: Initial per-partition delta buffer rows; buffers double beyond this.
 _DELTA_MIN_CAPACITY = 64
 
@@ -248,8 +204,8 @@ class _TwoTierColumns:
     """The store's mutable column state: packed base tier + delta tails.
 
     Base tier: per-partition contiguous ``coords``/``index`` arrays,
-    immutable between compactions (and therefore shareable through the
-    arena).  Delta tier: one amortized-growth columnar tail per partition
+    immutable between compactions (and therefore safe to hold in a
+    snapshot).  Delta tier: one amortized-growth columnar tail per partition
     that :meth:`append` fills and :meth:`compact_one` folds into the base.
     All mutation happens under one lock; :meth:`snapshot` captures a
     consistent read view cheaply, so queries never block on ingest for
@@ -280,7 +236,7 @@ class _TwoTierColumns:
         self.delta_index: list[np.ndarray] = [_EMPTY_INDEX] * n
         self.delta_sizes: list[int] = [0] * n
         self.appended_total = 0
-        self._snapshot: _StoreSnapshot | None = None
+        self._snapshot: _ColumnarView | None = None
 
     @property
     def n_partitions(self) -> int:
@@ -375,25 +331,27 @@ class _TwoTierColumns:
             self._snapshot = None
             return size
 
-    def snapshot(self) -> _StoreSnapshot:
+    def snapshot(self) -> _ColumnarView:
         """Consistent read snapshot, cached until the next append/compact."""
         with self._lock:
             if self._snapshot is not None:
                 return self._snapshot
-            deltas: list[tuple[np.ndarray, np.ndarray] | None] = []
+            coords_chunks: list[list[np.ndarray]] = []
+            index_chunks: list[list[np.ndarray]] = []
             for p in range(self.n_partitions):
+                cc: list[np.ndarray] = []
+                ic: list[np.ndarray] = []
+                if self.base_coords[p].shape[0]:
+                    cc.append(self.base_coords[p])
+                    ic.append(self.base_index[p])
                 size = self.delta_sizes[p]
                 if size:
-                    deltas.append(
-                        (self.delta_coords[p][:size], self.delta_index[p][:size])
-                    )
-                else:
-                    deltas.append(None)
-            self._snapshot = _StoreSnapshot(
-                self.scan_boxes.copy(),
-                list(self.base_coords),
-                list(self.base_index),
-                deltas,
+                    cc.append(self.delta_coords[p][:size])
+                    ic.append(self.delta_index[p][:size])
+                coords_chunks.append(cc)
+                index_chunks.append(ic)
+            self._snapshot = _ColumnarView(
+                self.scan_boxes.copy(), coords_chunks, index_chunks
             )
             return self._snapshot
 
@@ -485,7 +443,7 @@ def _route_knn(
     ``d / w``, with weights gathered only for scanned chunks.  Weights are
     capped at 1.0, so ``d / w >= d >=`` every scan-box lower bound — the
     best-first pruning stays sound (merely less tight) and weighted
-    results stay exact and bit-identical across worker counts.
+    results stay exact.
     """
     n_queries = centers.shape[0]
     n_parts = view.n_partitions
@@ -588,120 +546,6 @@ def _weights_for(index: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PartitionLeases:
-    """Single owner of a store's per-partition arena leases.
-
-    Exactly one seam returns a lease to the arena: every path — the lazy
-    re-share in :meth:`lease`, compaction's :meth:`invalidate`, the
-    explicit :meth:`PartitionedStore.close_shared`, and the store's GC
-    finalizer — pops the entry under the lock before releasing it, so the
-    paths can fire in any order (or twice) without a lease ever being
-    returned to the arena twice.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._leases: dict[int, tuple[np.ndarray, Any, np.ndarray, Any]] = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._leases)
-
-    def lease(self, p: int, coords: np.ndarray, index: np.ndarray) -> tuple[Any, Any]:
-        """Live ``(coords, index)`` leases for partition ``p``'s base arrays.
-
-        A cached pair is reused only when it was shared from these exact
-        array objects and both segments are still alive — compaction swaps
-        the base arrays, so identity doubles as a staleness check even if
-        an explicit ``invalidate`` was missed.
-        """
-        from ..parallel.shm import get_arena
-
-        stale: tuple[np.ndarray, Any, np.ndarray, Any] | None = None
-        with self._lock:
-            cached = self._leases.get(p)
-            if cached is not None:
-                src_c, lease_c, src_i, lease_i = cached
-                if src_c is coords and src_i is index and lease_c.alive and lease_i.alive:
-                    return lease_c, lease_i
-                stale = self._leases.pop(p)
-        if stale is not None:
-            stale[1].release()
-            stale[3].release()
-        arena = get_arena()
-        lease_c = arena.share(coords)
-        try:
-            lease_i = arena.share(index)
-        except BaseException:
-            lease_c.release()  # pairs the first lease on the failure path
-            raise
-        try:
-            with self._lock:
-                displaced = self._leases.get(p)
-                self._leases[p] = (coords, lease_c, index, lease_i)
-        except BaseException:  # cache bookkeeping failed: both leases are still ours
-            lease_c.release()
-            lease_i.release()
-            raise
-        if displaced is not None:  # racing lease for the same partition
-            displaced[1].release()
-            displaced[3].release()
-        return lease_c, lease_i
-
-    def invalidate(self, p: int) -> None:
-        """Return partition ``p``'s leases (compaction's re-lease seam)."""
-        with self._lock:
-            entry = self._leases.pop(p, None)
-        if entry is not None:
-            entry[1].release()
-            entry[3].release()
-
-    def release_all(self) -> None:
-        """Return every lease; naturally idempotent (the dict drains once)."""
-        with self._lock:
-            entries = list(self._leases.values())
-            self._leases.clear()
-        for entry in entries:
-            entry[1].release()
-            entry[3].release()
-
-
-def _query_chunk_task(payload: tuple) -> tuple[list[list[int]], int]:
-    """Pool worker: answer one query chunk against the two-tier store.
-
-    ``part_refs`` carries, per partition, the base tier as arena handles
-    (``None`` when empty) and the delta tail inline (``None`` when empty) —
-    base columns stay in shared memory, delta tails ride the payload.
-    The store's quality-weight vector (``None`` for unweighted batches)
-    rides inline too; the router gathers weights only for scanned chunks.
-    """
-    from ..parallel import SharedArray
-
-    part_refs, boxes, mode, centers, arg, *rest = payload
-    weights = rest[0] if rest else None
-    coords_chunks: list[list[np.ndarray]] = []
-    index_chunks: list[list[np.ndarray]] = []
-    # One ExitStack pairs every attach with its release on all exit paths;
-    # flow-based R2 sees the enter_context ownership transfer directly.
-    with ExitStack() as stack:
-        for base_ref, delta in part_refs:
-            cc: list[np.ndarray] = []
-            ic: list[np.ndarray] = []
-            if base_ref is not None:
-                coords_h, index_h = base_ref
-                cc.append(stack.enter_context(SharedArray.attach(coords_h)).array)
-                ic.append(stack.enter_context(SharedArray.attach(index_h)).array)
-            if delta is not None:
-                cc.append(delta[0])
-                ic.append(delta[1])
-            coords_chunks.append(cc)
-            index_chunks.append(ic)
-        view = _ColumnarView(boxes, coords_chunks, index_chunks)
-        if mode == "range":
-            return _route_range(view, centers, arg)
-        return _route_knn(view, centers, arg, weights)
-
-
 #: Environment override for the default compaction trigger.
 COMPACT_THRESHOLD_ENV = "REPRO_STORE_COMPACT_THRESHOLD"
 
@@ -739,17 +583,14 @@ class PartitionedStore:
 
     Single-query entry points (:meth:`range_query`, :meth:`knn`) are thin
     wrappers over the batched ones, which scan each partition with the
-    columnar kernels and optionally fan query chunks out to a process
-    pool (``workers > 1``): base columns travel as cached arena leases,
-    delta tails ride the task payload.  Results are bit-identical across
-    worker counts, delta state, and compaction timing — equal to a store
-    rebuilt from scratch with the same membership (:meth:`rebuilt`).
+    columnar kernels in-process.  Results are bit-identical across delta
+    state and compaction timing — equal to a store rebuilt from scratch
+    with the same membership (:meth:`rebuilt`).
 
     ``partitions_touched`` counts every (query, partition) routing
-    decision regardless of execution backend.  Appends are thread-safe
-    (ingest shards write concurrently); ``compact`` and parallel query
-    batches must not overlap — the serving layer runs compaction between
-    batches.
+    decision.  Appends are thread-safe (ingest shards write concurrently);
+    each batch reads one snapshot, and compaction never changes an answer
+    (the serving layer runs it between batches).
     """
 
     def __init__(self, points: list[Point], partitions: list[Partition]) -> None:
@@ -763,10 +604,6 @@ class PartitionedStore:
         self._weights: np.ndarray | None = None
         self._bboxes = [p.bbox for p in partitions]
         self._tiers = _TwoTierColumns(self.points, partitions)
-        self._leases = _PartitionLeases()
-        self._lease_finalizer = weakref.finalize(
-            self, _PartitionLeases.release_all, self._leases
-        )
 
     @property
     def partitions(self) -> list[Partition]:
@@ -838,9 +675,7 @@ class PartitionedStore:
         fraction is at least the threshold (explicit ``threshold``, else
         ``$REPRO_STORE_COMPACT_THRESHOLD``, else 0.25).  Query results are
         unchanged by construction — and cached results stay valid:
-        compaction does not bump quality epochs.  Only folded partitions'
-        arena leases are invalidated; the next parallel batch re-leases
-        just those segments.  Must not overlap a parallel query batch.
+        compaction does not bump quality epochs.
         """
         clk = clock if clock is not None else MonotonicClock()
         delta_sizes = self._tiers.tier_sizes()[1]
@@ -864,7 +699,6 @@ class PartitionedStore:
         with cm:
             for p in targets:
                 folded += self._tiers.compact_one(p)
-                self._leases.invalidate(p)
         seconds = clk.now() - start
         if targets:
             self.compactions += 1
@@ -896,9 +730,9 @@ class PartitionedStore:
 
         Bumps and returns :attr:`weights_epoch` — the serving layer keys
         weighted cached results on it, so an update (or a clear) can
-        never serve a stale weighted answer.  Like :meth:`compact`, calls
-        must not overlap an in-flight query batch; the serving layer
-        updates weights between batches.
+        never serve a stale weighted answer.  Calls must not overlap an
+        in-flight query batch; the serving layer updates weights between
+        batches.
         """
         if weights is None:
             self._weights = None
@@ -947,6 +781,8 @@ class PartitionedStore:
         """Batch range routing; one hit list per center, in input order.
 
         ``radii`` is a scalar shared by every query or a per-query sequence.
+        ``workers`` and ``executor`` are accepted for call-shape
+        compatibility and ignored: every batch runs in-process.
         """
         c = kernels.centers_of(centers)
         r = np.asarray(radii, dtype=float)
@@ -954,7 +790,7 @@ class PartitionedStore:
             r = np.full(c.shape[0], float(r))
         elif r.shape != (c.shape[0],):
             raise ValueError("radii must be a scalar or match the number of centers")
-        return self._run_batch("range", c, r, workers, executor)
+        return self._run_batch("range", c, r)
 
     def knn(self, center: Point, k: int, *, weighted: bool = False) -> list[int]:
         """Indices of the k nearest points (``(distance, index)`` tie rule)."""
@@ -975,94 +811,37 @@ class PartitionedStore:
         (:meth:`set_quality_weights`), candidates rank by effective
         distance ``d / w`` — low-QoD points must be proportionally closer
         to make the top-k — under the same ``(distance, id)`` tie rule.
-        Without installed weights the flag is a no-op.
+        Without installed weights the flag is a no-op.  ``workers`` and
+        ``executor`` are ignored, as in :meth:`range_query_many`.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         c = kernels.centers_of(centers)
-        return self._run_batch("knn", c, k, workers, executor, weighted=weighted)
+        return self._run_batch("knn", c, k, weighted=weighted)
 
     def _run_batch(
-        self,
-        mode: str,
-        centers: np.ndarray,
-        arg,
-        workers: int | None,
-        executor: Any,
-        *,
-        weighted: bool = False,
+        self, mode: str, centers: np.ndarray, arg, *, weighted: bool = False
     ) -> list[list[int]]:
-        from ..parallel import SerialExecutor, chunk_spans, resolve_executor
-
         obs_on = OBS.enabled
         self.queries_run += centers.shape[0]
-        snap = self._tiers.snapshot()
-        weights = self._weights if (weighted and mode == "knn") else None
+        view = self._tiers.snapshot()
         cm = (
             OBS.tracer.span("query.partitioned_batch", mode=mode, queries=centers.shape[0])
             if obs_on
             else _NULL
         )
-        with cm, resolve_executor(workers, executor, n_items=centers.shape[0]) as ex:
-            if isinstance(ex, SerialExecutor):
-                if mode == "range":
-                    hits, touched = _route_range(snap.view(), centers, arg)
-                else:
-                    hits, touched = _route_knn(snap.view(), centers, arg, weights)
+        with cm:
+            if mode == "range":
+                hits, touched = _route_range(view, centers, arg)
             else:
-                spans = chunk_spans(centers.shape[0], None)
-                part_refs = self._shared_refs(snap)
-                payloads = [
-                    (
-                        part_refs,
-                        snap.boxes,
-                        mode,
-                        centers[start:stop],
-                        arg[start:stop] if mode == "range" else arg,
-                        weights,
-                    )
-                    for start, stop in spans
-                ]
-                results = ex.map_ordered(_query_chunk_task, payloads)
-                hits = [h for chunk_hits, _ in results for h in chunk_hits]
-                touched = sum(t for _, t in results)
+                weights = self._weights if weighted else None
+                hits, touched = _route_knn(view, centers, arg, weights)
         self.partitions_touched += touched
         if obs_on:
             OBS.metrics.inc(
                 "repro_query_partitions_touched_total", (("mode", mode),), float(touched)
             )
         return hits
-
-    def _shared_refs(self, snap: _StoreSnapshot) -> tuple:
-        """Worker-shippable snapshot: arena handles for base, inline deltas.
-
-        Base columns are immutable between compactions, so each
-        partition's pair is leased from the default arena once and reused
-        across batches (pool workers keep their cached attachments); delta
-        tails are small and simply pickled with the task.  Leases
-        invalidated by compaction or an arena ``close_all`` are re-shared
-        lazily — and only for the affected partitions.
-        """
-        refs = []
-        for p in range(snap.boxes.shape[0]):
-            base_coords = snap.base_coords[p]
-            if base_coords.shape[0]:
-                lease_c, lease_i = self._leases.lease(p, base_coords, snap.base_index[p])
-                base_ref = (lease_c.handle, lease_i.handle)
-            else:
-                base_ref = None
-            refs.append((base_ref, snap.deltas[p]))
-        return tuple(refs)
-
-    def close_shared(self) -> None:
-        """Return this store's cached arena leases (idempotent).
-
-        Called automatically when the store is garbage collected; the GC
-        finalizer stays registered and simply finds nothing left to
-        release.  Long-lived applications cycling many stores can call it
-        eagerly to keep the arena's free list tight.
-        """
-        self._leases.release_all()
 
     def mean_partitions_per_query(self) -> float:
         """Average partitions touched per query (communication proxy)."""

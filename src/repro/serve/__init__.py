@@ -6,9 +6,9 @@ long-lived asyncio :class:`~repro.serve.service.QueryService` accepts
 typed :class:`~repro.serve.requests.RangeQueryRequest` /
 :class:`~repro.serve.requests.KnnQueryRequest` objects and
 
-* **coalesces** concurrent requests into single batched kernel calls
-  (:mod:`~repro.serve.coalescer` — self-clocked: a batch is what queued
-  while the previous batch ran; one warm executor reused across batches),
+* **coalesces** concurrent requests into single in-process batched
+  kernel calls (:mod:`~repro.serve.coalescer` — self-clocked: a batch is
+  what queued while the previous batch ran),
 * applies **admission control** with the ingest layer's backpressure
   vocabulary (:mod:`~repro.serve.admission` — ``block`` / ``reject`` /
   ``drop_oldest`` mapped to request semantics, per-class priorities),

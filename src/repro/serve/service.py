@@ -1,24 +1,24 @@
-"""The asyncio query service: coalescing, admission, caching, one warm pool.
+"""The asyncio query service: coalescing, admission, caching.
 
 :class:`QueryService` is the long-lived front end over a
 :class:`~repro.querying.distributed.PartitionedStore`: clients ``await
 service.submit(request)`` and the service answers from the
 epoch-validated cache when it can, otherwise coalesces concurrent
-requests into single ``range_query_many`` / ``knn_many`` kernel calls
-(self-clocked: a batch is what queued while the previous batch ran; one
-warm executor reused across every batch) under explicit admission control.
+requests into single in-process ``range_query_many`` / ``knn_many``
+kernel calls (self-clocked: a batch is what queued while the previous
+batch ran) under explicit admission control.
 
 Determinism: the dispatcher's only wait is its wake ``Event``, so
 batching is a pure function of arrival order — no timer decides when a
-batch leaves — and responses are bit-identical across worker counts,
-batch shapes, and cache state (``tests/serve/test_service.py``).  The
-injectable :class:`~repro.obs.clock.Clock` only stamps latencies.
+batch leaves — and responses are bit-identical across batch shapes and
+cache state (``tests/serve/test_service.py``).  The injectable
+:class:`~repro.obs.clock.Clock` only stamps latencies.
 
 Observability: with :func:`repro.obs.enable` on, every request gets a
 ``serve.request`` span covering queue wait plus service time, and the
 metrics registry collects queue-depth high-water gauges, coalesce
-batch-size and latency histograms, and cache/shed/executor-reuse
-counters (names in ``docs/OBSERVABILITY.md``).
+batch-size and latency histograms, and cache/shed counters (names in
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Mapping, Sequence
 
 from ..obs import OBS
 from ..obs.clock import Clock, MonotonicClock
-from ..parallel import Executor, get_executor
 from ..querying.distributed import PartitionedStore, resolve_compact_threshold
 from .admission import AdmissionController, AdmissionDecision
 from .cache import ResultCache
@@ -57,8 +56,6 @@ class ServeStats:
     cache_hits: int = 0  # answered from the epoch-validated cache
     shed: int = 0  # refused or displaced by admission control
     kernel_calls: int = 0  # batched range_query_many/knn_many dispatches
-    executor_reuses: int = 0  # kernel calls served by the already-warm pool
-    pool_reuses: int = 0  # start() acquisitions satisfied by a warm manager pool
     batches: int = 0
     max_batch_seen: int = 0
     max_depth_seen: int = 0
@@ -77,8 +74,6 @@ class ServeStats:
             "cache_hits": self.cache_hits,
             "shed": self.shed,
             "kernel_calls": self.kernel_calls,
-            "executor_reuses": self.executor_reuses,
-            "pool_reuses": self.pool_reuses,
             "batches": self.batches,
             "max_batch_seen": self.max_batch_seen,
             "max_depth_seen": self.max_depth_seen,
@@ -133,8 +128,6 @@ class QueryService:
         class_limits: Mapping[int, int] | None = None,
         cache_capacity: int = 4096,
         epochs: EpochRegistry | None = None,
-        workers: int | None = None,
-        executor: Executor | None = None,
         clock: Clock | None = None,
         auto_compact: bool = True,
         compact_threshold: float | None = None,
@@ -146,9 +139,6 @@ class QueryService:
         self.stats = ServeStats()
         self._clock: Clock = clock if clock is not None else MonotonicClock()
         self._coalescer = Coalescer(max_batch)
-        self._workers = workers
-        self._given_executor = executor
-        self._executor: Executor | None = None
         self._auto_compact = auto_compact and hasattr(store, "compact")
         self._compact_threshold = resolve_compact_threshold(compact_threshold)
         self._state = _Inflight()
@@ -159,36 +149,18 @@ class QueryService:
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> "QueryService":
-        """Acquire the warm pool lease and start the dispatcher loop.
-
-        With ``workers > 1`` the executor is a
-        :class:`~repro.parallel.pool.PoolLease` from the process-wide
-        :class:`~repro.parallel.pool.WorkerPoolManager` — a service restart
-        (or a second service) reuses the already-warm pool, counted in
-        ``stats.pool_reuses``.
-        """
+        """Start the dispatcher loop."""
         if self._state.started:
             raise RuntimeError("service already started")
         self._state.started = True
-        self._executor = (
-            self._given_executor
-            if self._given_executor is not None
-            else get_executor(self._workers)
-        )
-        if getattr(self._executor, "pool_was_warm", False):
-            self.stats.pool_reuses += 1
-            if OBS.enabled:
-                OBS.metrics.inc("repro_serve_pool_reuse_total")
         self._dispatcher = asyncio.create_task(self._run())
         return self
 
     async def stop(self) -> ServeStats:
-        """Drain pending requests, stop the dispatcher, release the lease.
+        """Drain pending requests and stop the dispatcher.
 
         Every already-admitted request is served before shutdown; blocked
-        submitters (``block`` policy) are shed.  Closing the executor
-        releases the pool *lease* — the underlying worker pool stays warm
-        in the manager for the next service.  Returns the final stats.
+        submitters (``block`` policy) are shed.  Returns the final stats.
 
         The dispatcher task is always awaited, even when it already flipped
         the service to ``stopping`` by dying: a dispatch failure re-raises
@@ -201,11 +173,7 @@ class QueryService:
             async with self._capacity:
                 self._capacity.notify_all()
         if self._dispatcher is not None:
-            try:
-                await self._dispatcher
-            finally:
-                if self._given_executor is None and self._executor is not None:
-                    self._executor.close()
+            await self._dispatcher
         return self.stats
 
     async def __aenter__(self) -> "QueryService":
@@ -319,10 +287,10 @@ class QueryService:
     async def _run(self) -> None:
         """Dispatcher task: batch, dispatch, repeat — fail loudly, never hang.
 
-        If a dispatch raises (a worker pool broken beyond repair, a lost
-        shared segment), every pending future is failed with that exception
-        and the service flips to ``stopping`` — submitters see the error
-        immediately instead of awaiting a response that can never arrive.
+        If a dispatch raises (a failing store call), every pending future is
+        failed with that exception and the service flips to ``stopping`` —
+        submitters see the error immediately instead of awaiting a response
+        that can never arrive.
         The exception then propagates to ``stop()``'s ``await``.
         """
         try:
@@ -414,25 +382,19 @@ class QueryService:
         with cm:
             if mode == "range":
                 radii = [r.radius for r in requests]  # type: ignore[union-attr]
-                hits = self.store.range_query_many(centers, radii, executor=self._executor)
+                hits = self.store.range_query_many(centers, radii)
                 pid_sets = self.store.range_partition_sets(centers, radii)
             else:
                 k = int(batch.key[1])  # type: ignore[arg-type]
                 weighted = len(batch.key) > 2 and bool(batch.key[2])
                 if weighted:
-                    hits = self.store.knn_many(
-                        centers, k, executor=self._executor, weighted=True
-                    )
+                    hits = self.store.knn_many(centers, k, weighted=True)
                     pid_sets = self.store.knn_partition_sets(
                         centers, hits, k, weighted=True
                     )
                 else:
-                    hits = self.store.knn_many(centers, k, executor=self._executor)
+                    hits = self.store.knn_many(centers, k)
                     pid_sets = self.store.knn_partition_sets(centers, hits, k)
-        if self.stats.kernel_calls > 0:
-            self.stats.executor_reuses += 1
-            if obs_on:
-                OBS.metrics.inc("repro_serve_executor_reuse_total")
         self.stats.kernel_calls += 1
         self.stats.batches += 1
         if len(batch) > self.stats.max_batch_seen:

@@ -235,12 +235,21 @@ class TestRegistryIntegration:
         assert len(registry.sensor_ids) == 6
 
     def test_gate_latencies_recorded(self):
+        from repro.obs import OBS, disable, enable
+
         events, _ = _stream(n_sensors=4, t_end=60.0)
-        with IngestEngine(n_shards=2, gate_factories=[lambda: RangeGate(-1e9, 1e9)]) as engine:
-            ReplaySource(events).drive(engine)
-        lats = engine.gate_latencies()
-        assert len(lats) == len(events)
-        assert all(v >= 0 for v in lats)
+        enable()
+        try:
+            with IngestEngine(
+                n_shards=2, gate_factories=[lambda: RangeGate(-1e9, 1e9)]
+            ) as engine:
+                ReplaySource(events).drive(engine)
+            snap = OBS.metrics.snapshot()
+        finally:
+            disable()
+        hists = [h for k, h in snap.histograms.items() if k[0] == "repro_ingest_gate_seconds"]
+        assert sum(h.count for h in hists) == len(events)
+        assert min(h.vmin for h in hists) >= 0
 
 
 @pytest.mark.slow

@@ -211,76 +211,19 @@ class TestPartitionDependencySets:
             boxes[0, 0] = 99.0
 
 
-class TestPartitionLeaseExceptionSafety:
-    """Regression tests for the R2-flow findings fixed in _PartitionLeases.lease:
-    a failure anywhere between acquiring the arena leases and registering them
-    in the cache must return every acquired lease to the arena."""
+class TestInProcessBatches:
+    """Store batches run in-process: ``workers=`` never leases a pool."""
 
-    class _FakeLease:
-        def __init__(self):
-            self.alive = True
+    def test_workers_two_matches_serial_without_leasing_a_pool(self, rng, skew, box):
+        from repro.parallel import get_pool_manager
 
-        def release(self):
-            self.alive = False
-
-    def _fake_arena(self, fail_on_share=None):
-        leases = []
-        test = self
-
-        class _FakeArena:
-            def share(self, arr):
-                if fail_on_share is not None and len(leases) + 1 == fail_on_share:
-                    raise RuntimeError("arena exhausted")
-                lease = test._FakeLease()
-                leases.append(lease)
-                return lease
-
-        return _FakeArena(), leases
-
-    def test_second_share_failure_releases_first_lease(self, monkeypatch):
-        import numpy as np
-
-        from repro.parallel import shm
-        from repro.querying.distributed import _PartitionLeases
-
-        arena, leases = self._fake_arena(fail_on_share=2)
-        monkeypatch.setattr(shm, "get_arena", lambda: arena)
-        pl = _PartitionLeases()
-        with pytest.raises(RuntimeError, match="arena exhausted"):
-            pl.lease(0, np.zeros((3, 3)), np.arange(3))
-        assert len(leases) == 1 and not leases[0].alive
-        assert len(pl) == 0
-
-    def test_cache_registration_failure_releases_both_leases(self, monkeypatch):
-        import numpy as np
-
-        from repro.parallel import shm
-        from repro.querying.distributed import _PartitionLeases
-
-        arena, leases = self._fake_arena()
-        monkeypatch.setattr(shm, "get_arena", lambda: arena)
-
-        class _BoomDict(dict):
-            def __setitem__(self, key, value):
-                raise RuntimeError("bookkeeping failed")
-
-        pl = _PartitionLeases()
-        pl._leases = _BoomDict()
-        with pytest.raises(RuntimeError, match="bookkeeping failed"):
-            pl.lease(0, np.zeros((3, 3)), np.arange(3))
-        assert len(leases) == 2
-        assert all(not lease.alive for lease in leases)
-
-    def test_successful_lease_is_cached_and_alive(self, monkeypatch):
-        import numpy as np
-
-        from repro.parallel import shm
-        from repro.querying.distributed import _PartitionLeases
-
-        arena, leases = self._fake_arena()
-        monkeypatch.setattr(shm, "get_arena", lambda: arena)
-        pl = _PartitionLeases()
-        coords, index = np.zeros((3, 3)), np.arange(3)
-        lease_c, lease_i = pl.lease(0, coords, index)
-        assert lease_c.alive and lease_i.alive
-        assert len(pl) == 1
+        store = PartitionedStore(skew, kd_partition(skew, box, 16))
+        centers = [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(20)]
+        radii = rng.uniform(20, 120, len(centers)).tolist()
+        want_range = store.range_query_many(centers, radii)
+        want_knn = store.knn_many(centers, 7)
+        stats = get_pool_manager().stats
+        leases, created = stats.leases, stats.pools_created
+        assert store.range_query_many(centers, radii, workers=2) == want_range
+        assert store.knn_many(centers, 7, workers=2) == want_knn
+        assert (stats.leases, stats.pools_created) == (leases, created)

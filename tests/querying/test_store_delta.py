@@ -7,13 +7,10 @@ bit-identical to a from-scratch rebuild with the same membership
 it folds delta tails into base columns without perturbing a single
 result.  The hypothesis suite at the bottom drives that equivalence
 under shuffled admit orders and mid-stream compaction; the dependency
-set tests pin the append-only kNN pruning bound (satellite 1) and the
-lease lifecycle tests the double-release fix (satellite 2).
+set tests pin the append-only kNN pruning bound.
 """
 
 from __future__ import annotations
-
-import gc
 
 import numpy as np
 import pytest
@@ -296,67 +293,6 @@ class _InProcessPoolStub:
         pass
 
 
-class TestLeaseLifecycle:
-    """Satellite 2: shared-column release is single-owner and idempotent."""
-
-    def lease_up(self, store, rng):
-        centers, radii = query_grid(rng, n=8)
-        out = store.range_query_many(centers, radii, executor=_InProcessPoolStub())
-        assert len(store._leases) > 0
-        return centers, radii, out
-
-    def test_double_close_shared_is_safe(self):
-        store, rng = make_store()
-        self.lease_up(store, rng)
-        store.close_shared()
-        assert len(store._leases) == 0
-        store.close_shared()  # second release: structurally a no-op
-        assert len(store._leases) == 0
-
-    def test_finalizer_after_explicit_close_releases_nothing(self):
-        store, rng = make_store()
-        self.lease_up(store, rng)
-        store.close_shared()
-        fin = store._lease_finalizer
-        del store
-        gc.collect()
-        assert not fin.alive or fin.peek() is not None
-        if fin.alive:
-            fin()  # explicit double-fire — must not raise
-
-    def test_queries_after_close_re_lease_and_stay_identical(self):
-        store, rng = make_store()
-        centers, radii, first = self.lease_up(store, rng)
-        store.close_shared()
-        again = store.range_query_many(centers, radii, executor=_InProcessPoolStub())
-        assert again == first
-        assert len(store._leases) > 0
-        store.close_shared()
-
-    def test_compaction_invalidates_only_affected_partitions(self):
-        store, rng = make_store(n_points=400, n_parts=9)
-        # deltas land in a known partition
-        store.append_many([Point(5.0, 5.0)] * 40)
-        self.lease_up(store, rng)
-        leased_before = set(store._leases._leases)
-        fractions = store._tiers.delta_fractions()
-        dirty = {p for p, f in enumerate(fractions) if f > 0.0}
-        assert dirty
-        store.compact(threshold=0.0)
-        leased_after = set(store._leases._leases)
-        assert leased_after == leased_before - dirty
-        store.close_shared()
-
-    def test_stale_lease_replaced_after_compaction(self):
-        store, rng = make_store(n_points=300, n_parts=4)
-        store.append_many([Point(500.0, 500.0)] * 30)
-        centers, radii, before = self.lease_up(store, rng)
-        store.compact(threshold=0.0)
-        after = store.range_query_many(centers, radii, executor=_InProcessPoolStub())
-        assert after == before
-        store.close_shared()
-
-
 class TestParallelDeltaParity:
     def test_parallel_with_live_deltas_matches_serial(self):
         store, rng = make_store(n_points=500, n_parts=16, partitioner="kd")
@@ -370,7 +306,6 @@ class TestParallelDeltaParity:
         sk = store.knn_many(centers, 6)
         pk = store.knn_many(centers, 6, executor=_InProcessPoolStub())
         assert pk == sk
-        store.close_shared()
 
 
 # -- hypothesis: admit-order / compaction equivalence (satellite 3) -----------

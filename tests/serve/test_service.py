@@ -171,22 +171,6 @@ class TestCache:
         assert stats.cache_hits + stats.served == 2
 
 
-class TestWorkerEquivalence:
-    def test_workers_one_vs_two_bit_identical(self, store):
-        reqs = range_requests(8) + [
-            KnnQueryRequest(Point(200.0 * i, 150.0 * i), 6) for i in range(1, 5)
-        ]
-        serial, _ = serve_all(store, reqs, max_batch=16, workers=1)
-        pooled, stats = serve_all(store, reqs, max_batch=16, workers=2)
-        assert [r.results for r in serial] == [r.results for r in pooled]
-        assert stats.shed == 0
-
-    def test_warm_executor_reused_across_batches(self, store):
-        _, stats = serve_all(store, range_requests(10), max_batch=4)
-        assert stats.kernel_calls == 3
-        assert stats.executor_reuses == stats.kernel_calls - 1
-
-
 class TestAdmission:
     @staticmethod
     def run_burst(store, requests, **kwargs):
@@ -447,7 +431,6 @@ class TestObservability:
         assert snap.counter("repro_serve_cache_total", result="miss") == 4
         assert snap.counter("repro_serve_cache_total", result="hit") == 4
         assert snap.counter("repro_serve_kernel_calls_total", mode="range") == 1
-        assert snap.counter("repro_serve_executor_reuse_total") == 0
         hist = snap.histogram("repro_serve_batch_size", mode="range")
         assert hist is not None and hist.count == 1 and hist.vmax == 4
         lat = snap.histogram("repro_serve_latency_seconds", mode="range")
@@ -484,25 +467,7 @@ class TestObservability:
 
 
 class TestPoolReuse:
-    def test_second_service_reuses_warm_pool(self, store):
-        from repro.parallel import get_pool_manager
-
-        created_before = get_pool_manager().stats.pools_created
-
-        def run_service():
-            async def go():
-                async with QueryService(store, workers=2) as svc:
-                    await svc.submit_many(range_requests(3))
-                    return svc.stats
-
-            return asyncio.run(go())
-
-        first = run_service()
-        second = run_service()
-        assert first.as_dict()["pool_reuses"] in (0, 1)  # warm iff a pool pre-existed
-        assert second.pool_reuses == 1  # the restart rides the warm pool
-        # No extra pool was spawned for the second service.
-        assert get_pool_manager().stats.pools_created <= created_before + 1
+    """Dispatcher failure paths: a failing store call fails every waiter."""
 
     def test_dispatcher_failure_fails_submitters_loudly(self, store):
         """A dying kernel must reject in-flight futures, never strand them."""

@@ -1,10 +1,10 @@
 """Serial-vs-parallel equivalence suite for the fleet execution layer.
 
-The contract under test (ISSUE 3): for every rewired consumer —
-``map_chunks`` / ``map_reduce``, ``Pipeline.run_many``, parallel
-``run_ablations``, partitioned queries, pairwise similarity, the Table-1
-grid — the ``workers=1`` output is identical to the output at any worker
-count, including empty-collection, single-item, and chunk-boundary cases;
+The contract under test: for every pool consumer — ``map_chunks`` /
+``map_reduce``, ``Pipeline.run_many``, parallel ``run_ablations``, the
+Table-1 grid — the ``workers=1`` output is identical to the output at any
+worker count, including empty-collection, single-item, and chunk-boundary
+cases; store batches handed an executor answer exactly as without one;
 and shared-memory segments are unlinked on error paths.
 
 Worker functions live at module level so they pickle under every start
@@ -360,26 +360,12 @@ class TestPartitionedQueriesParallel:
 
 
 class TestPairwiseParallel:
-    def test_matrix_identical_across_workers(self, pools):
-        fleet = [make_trajectory(i, n=25, object_id=f"t{i}") for i in range(10)]
-        want = pairwise_distances(fleet, "hausdorff")
-        for w in WORKER_COUNTS:
-            got = pairwise_distances(fleet, "hausdorff", executor=pools[w])
-            assert np.array_equal(got, want)
-
-    def test_matrix_shape_and_symmetry(self, pools):
+    def test_matrix_shape_and_symmetry(self):
         fleet = [make_trajectory(i, n=20) for i in range(6)]
-        m = pairwise_distances(fleet, "dtw", executor=pools[2], band=5)
+        m = pairwise_distances(fleet, "dtw", band=5)
         assert m.shape == (6, 6)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
-
-    def test_chunk_boundaries(self, pools):
-        fleet = [make_trajectory(i, n=15) for i in range(5)]  # 10 pairs
-        want = pairwise_distances(fleet, "hausdorff")
-        for chunk_size in (1, 3, 10, 99):
-            got = pairwise_distances(fleet, "hausdorff", chunk_size=chunk_size, executor=pools[2])
-            assert np.array_equal(got, want)
 
     def test_edge_cases_and_validation(self):
         assert pairwise_distances([]).shape == (0, 0)
@@ -476,112 +462,6 @@ class TestSharedMemoryLifecycle:
         assert isinstance(get_executor(None), SerialExecutor)
         assert isinstance(get_executor(1), SerialExecutor)
         assert get_executor(-1).workers >= 1
-
-
-class _InProcessPoolStub:
-    """Non-serial executor stand-in: drives the shm fan-out path in-process."""
-
-    workers = 2
-
-    def map_ordered(self, fn, payloads):
-        return [fn(p) for p in payloads]
-
-    def close(self):
-        pass
-
-
-class TestSharedMemorySiteHygiene:
-    """Call-site halves of the unlink-on-error contract (reprolint R2)."""
-
-    def test_partitioned_store_returns_first_lease_when_second_share_fails(
-        self, monkeypatch, rng
-    ):
-        """Regression (now on the arena path): the seed packed both query
-        columns before the try, leaking the coords segment when the second
-        one failed.  With arena leases the invariant is the same shape: a
-        failing second ``share`` must return the first lease to the free
-        list and leave no cached half-pair on the store."""
-        import repro.parallel.shm as shm_mod
-        from repro.core import BBox
-        from repro.parallel import SharedArenaCache
-
-        box = BBox(0.0, 0.0, 100.0, 100.0)
-        points = skewed_points(rng, 80, box, n_hotspots=2, hotspot_sigma=10.0)
-        store = PartitionedStore(points, kd_partition(points, box, 4))
-
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        shares: list[object] = []
-        real_share = SharedArenaCache.share
-
-        def flaky_share(self, array):
-            if shares:
-                raise MemoryError("simulated segment exhaustion")
-            lease = real_share(self, array)
-            shares.append(lease)
-            return lease
-
-        monkeypatch.setattr(SharedArenaCache, "share", flaky_share)
-        monkeypatch.setattr(shm_mod, "get_arena", lambda: arena)
-        try:
-            with pytest.raises(MemoryError):
-                store.range_query_many(
-                    [Point(50.0, 50.0)], [10.0], executor=_InProcessPoolStub()
-                )
-            stats = arena.stats()
-            assert stats["leases"] == 1
-            # The first lease went back to the free list, not leaked as leased.
-            assert stats["bytes_total"] > 0
-            assert stats["bytes_free"] == stats["bytes_total"]
-            assert len(store._leases) == 0
-        finally:
-            arena.close_all()
-
-    def test_query_chunk_worker_closes_first_attachment_when_second_fails(
-        self, monkeypatch, rng
-    ):
-        """The worker side mirrors it: a failing second attach must still
-        close the first mapping (borrower half of the contract)."""
-        from repro.core import BBox
-        from repro.querying.distributed import _query_chunk_task
-
-        box = BBox(0.0, 0.0, 100.0, 100.0)
-        points = skewed_points(rng, 60, box, n_hotspots=2, hotspot_sigma=10.0)
-        store = PartitionedStore(points, kd_partition(points, box, 4))
-        snap = store._tiers.snapshot()
-
-        closed: list[bool] = []
-        real_attach = SharedArray.attach.__func__
-        real_release = SharedArray.release
-
-        def tracking_release(self):
-            closed.append(True)
-            real_release(self)
-
-        attached_count = [0]
-
-        def flaky_attach(handle):
-            if attached_count[0] == 1:
-                raise FileNotFoundError("segment vanished")
-            attached_count[0] += 1
-            return real_attach(SharedArray, handle)
-
-        monkeypatch.setattr(SharedArray, "attach", staticmethod(flaky_attach))
-        monkeypatch.setattr(SharedArray, "release", tracking_release)
-        with SharedArray.create(snap.base_coords[0]) as coords_s, SharedArray.create(
-            snap.base_index[0]
-        ) as index_s:
-            part_refs = (((coords_s.handle, index_s.handle), None),)
-            payload = (
-                part_refs,
-                snap.boxes[:1],
-                "range",
-                np.array([[50.0, 50.0]]),
-                np.array([10.0]),
-            )
-            closed.clear()
-            with pytest.raises(FileNotFoundError):
-                _query_chunk_task(payload)
-            assert closed == [True]  # the one successful attach was closed
 
 
 # -- worker pool manager -------------------------------------------------------
@@ -684,284 +564,3 @@ class TestWorkerPoolManager:
             assert manager.stats.leases == before + 1
         finally:
             ex.close()
-
-
-# -- shared arena cache --------------------------------------------------------
-
-
-class TestSharedArenaCache:
-    def test_lease_return_reuse_hit(self):
-        from repro.parallel import SharedArenaCache
-
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        try:
-            first = arena.share(np.arange(100, dtype=float))
-            name = first.handle.name
-            first.release()
-            second = arena.share(np.arange(50, dtype=float))  # fits: reused
-            assert second.handle.name == name
-            assert np.array_equal(second.array, np.arange(50, dtype=float))
-            stats = arena.stats()
-            assert stats["misses"] == 1 and stats["hits"] == 1
-            assert stats["hit_rate"] == 0.5
-        finally:
-            arena.close_all()
-
-    def test_power_of_two_capacity(self):
-        from repro.parallel import SharedArenaCache
-
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        try:
-            lease = arena.share(np.arange(100, dtype=float))  # 800 bytes
-            assert arena.stats()["bytes_total"] == 1024
-            lease.release()
-        finally:
-            arena.close_all()
-
-    def test_lru_eviction_under_budget(self):
-        from repro.parallel import SharedArenaCache
-
-        arena = SharedArenaCache(max_bytes=2048)
-        try:
-            small = arena.share(np.zeros(100))  # capacity 1024
-            small.release()
-            big = arena.share(np.zeros(150))  # capacity 2048 -> over budget
-            stats = arena.stats()
-            assert stats["evictions"] == 1
-            assert stats["bytes_total"] == 2048  # only the leased segment left
-            big.release()
-        finally:
-            arena.close_all()
-
-    def test_leased_segments_never_evicted(self):
-        from repro.parallel import SharedArenaCache
-
-        arena = SharedArenaCache(max_bytes=1024)
-        try:
-            a = arena.share(np.zeros(100))  # 1024, leased
-            b = arena.share(np.zeros(100))  # 1024 more: over budget, both leased
-            assert arena.stats()["evictions"] == 0
-            assert np.array_equal(a.array, np.zeros(100))
-            assert np.array_equal(b.array, np.zeros(100))
-            a.release()
-            b.release()  # returning over budget now evicts down to one segment
-            assert arena.stats()["bytes_total"] <= 1024
-        finally:
-            arena.close_all()
-
-    def test_close_all_invalidates_leases_and_unlinks(self):
-        from repro.parallel import SharedArenaCache, SharedArray
-
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        lease = arena.share(np.arange(8, dtype=float))
-        handle = lease.handle
-        assert lease.alive
-        arena.close_all()
-        assert not lease.alive
-        lease.release()  # safe no-op after close_all
-        with pytest.raises(FileNotFoundError):
-            SharedArray.attach(handle)
-        # The arena itself stays usable after the owner seam fires.
-        fresh = arena.share(np.arange(4, dtype=float))
-        assert fresh.alive
-        arena.close_all()
-
-    def test_generation_mismatch_forces_reattach(self):
-        import repro.parallel.shm as shm_mod
-        from repro.parallel import ArenaHandle, SharedArenaCache, SharedArray
-
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        try:
-            lease = arena.share(np.arange(6, dtype=float))
-            handle = lease.handle
-            att = SharedArray.attach(handle)
-            cached_gen, cached_shm = shm_mod._ATTACH_CACHE[handle.name]
-            assert cached_gen == handle.generation
-            att.release()
-            # A handle with a newer generation but the same OS name means the
-            # segment was recycled: the stale mapping must be replaced.
-            newer = ArenaHandle(
-                handle.name, handle.generation + 1, handle.shape, handle.dtype
-            )
-            att2 = SharedArray.attach(newer)
-            gen2, shm2 = shm_mod._ATTACH_CACHE[handle.name]
-            assert gen2 == newer.generation
-            assert shm2 is not cached_shm
-            att2.release()
-            del shm_mod._ATTACH_CACHE[handle.name]
-            shm2.close()
-            lease.release()
-        finally:
-            arena.close_all()
-
-    def test_attach_cache_reuses_mapping(self):
-        import repro.parallel.shm as shm_mod
-        from repro.parallel import SharedArenaCache, SharedArray
-
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        try:
-            lease = arena.share(np.arange(5, dtype=float))
-            first = SharedArray.attach(lease.handle)
-            second = SharedArray.attach(lease.handle)
-            assert first._shm is second._shm  # one mapping, cached
-            assert np.array_equal(second.array, np.arange(5, dtype=float))
-            first.release()
-            second.release()
-            gen, shm = shm_mod._ATTACH_CACHE.pop(lease.handle.name)
-            shm.close()
-            lease.release()
-        finally:
-            arena.close_all()
-
-    def test_no_leaked_segments_after_shutdown_all(self):
-        from repro.parallel import SharedArray, get_arena, shutdown_all
-
-        arena = get_arena()
-        lease = arena.share(np.arange(16, dtype=float))
-        handle = lease.handle
-        lease.release()
-        assert arena.stats()["segments"] >= 1
-        shutdown_all()  # the atexit seam: pools down, arena unlinked
-        assert arena.stats()["segments"] == 0
-        with pytest.raises(FileNotFoundError):
-            SharedArray.attach(handle)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.floats(allow_nan=False, allow_infinity=False, width=32),
-            min_size=0,
-            max_size=64,
-        )
-    )
-    def test_arena_transport_bit_identical_to_per_call(self, values):
-        """Arena-leased segments carry bytes identically to per-call ones."""
-        from repro.parallel import SharedArenaCache, SharedArray
-
-        arr = np.asarray(values, dtype=float)
-        arena = SharedArenaCache(max_bytes=1 << 20)
-        per_call = SharedArray.create(arr)
-        lease = arena.share(arr)
-        try:
-            via_per_call = SharedArray.attach(per_call.handle)
-            via_arena = SharedArray.attach(lease.handle)
-            try:
-                assert via_arena.array.tobytes() == via_per_call.array.tobytes()
-                assert via_arena.array.dtype == via_per_call.array.dtype
-                assert via_arena.array.shape == via_per_call.array.shape
-            finally:
-                via_per_call.release()
-                via_arena.release()
-        finally:
-            per_call.release()
-            lease.release()
-            arena.close_all()
-
-    def test_arena_backed_queries_match_serial(self, rng):
-        """End to end: arena-cached store columns give the serial answers."""
-        from repro.core import BBox
-
-        box = BBox(0.0, 0.0, 200.0, 200.0)
-        points = skewed_points(rng, 150, box, n_hotspots=2, hotspot_sigma=20.0)
-        store = PartitionedStore(points, kd_partition(points, box, 8))
-        centers = [Point(float(20 * i), float(15 * i)) for i in range(9)]
-        radii = [25.0] * len(centers)
-        serial = store.range_query_many(centers, radii)
-        try:
-            # Two parallel-path rounds: the second hits the cached leases.
-            for _ in range(2):
-                got = store.range_query_many(
-                    centers, radii, executor=_InProcessPoolStub()
-                )
-                assert got == serial
-            assert len(store._leases) > 0  # one lease pair per non-empty partition
-        finally:
-            store.close_shared()
-
-
-# -- adaptive dispatch ---------------------------------------------------------
-
-
-class TestAdaptiveDispatch:
-    def test_crossover_math(self):
-        from repro.parallel import DispatchModel
-
-        model = DispatchModel(
-            workers=2,
-            start_method=None,
-            dispatch_overhead_s=1e-3,
-            item_cost_s=1e-5,
-            probe_items=256,
-        )
-        # overhead / (cost * (1 - 1/2)) = 1e-3 / 5e-6 = 200 items.
-        assert model.crossover_items() == pytest.approx(200.0)
-        assert model.choose(199) == "serial"
-        assert model.choose(200) == "parallel"
-        # A costlier workload crosses over earlier.
-        assert model.choose(10, item_cost_s=1e-3) == "parallel"
-        assert model.as_dict()["crossover_items"] == pytest.approx(200.0)
-
-    def test_env_override_wins(self, monkeypatch):
-        from repro.parallel import DISPATCH_ENV, dispatch_decision, dispatch_mode
-
-        monkeypatch.setenv(DISPATCH_ENV, "serial")
-        assert dispatch_decision(10**9, 8) == "serial"
-        monkeypatch.setenv(DISPATCH_ENV, "parallel")
-        assert dispatch_decision(1, 8) == "parallel"
-        monkeypatch.setenv(DISPATCH_ENV, "bogus")
-        with pytest.raises(ValueError, match="not a valid dispatch mode"):
-            dispatch_mode()
-
-    def test_auto_without_model_is_parallel(self, monkeypatch):
-        import repro.parallel.pool as pool_mod
-        from repro.parallel import WorkerPoolManager, dispatch_decision
-
-        monkeypatch.setattr(pool_mod, "get_pool_manager", WorkerPoolManager)
-        assert dispatch_decision(3, 2) == "parallel"  # uncalibrated: legacy
-        assert dispatch_decision(None, 2) == "parallel"
-        assert dispatch_decision(100, 1) == "parallel"
-
-    def test_auto_with_model_routes_at_crossover(self, monkeypatch):
-        import repro.parallel.pool as pool_mod
-        from repro.parallel import DispatchModel, WorkerPoolManager, dispatch_decision
-
-        manager = WorkerPoolManager()
-        manager.set_model(
-            DispatchModel(
-                workers=2,
-                start_method=manager.resolve_key(2)[1],
-                dispatch_overhead_s=1e-3,
-                item_cost_s=1e-5,
-                probe_items=256,
-            )
-        )
-        monkeypatch.setattr(pool_mod, "get_pool_manager", lambda: manager)
-        assert dispatch_decision(10, 2) == "serial"
-        assert dispatch_decision(1000, 2) == "parallel"
-
-    def test_serial_downgrade_is_bit_identical_and_leases_nothing(self, monkeypatch):
-        from repro.parallel import DISPATCH_ENV, get_pool_manager
-
-        want = map_chunks(square_chunk, list(range(40)), workers=1)
-        manager = get_pool_manager()
-        before = manager.stats.leases
-        monkeypatch.setenv(DISPATCH_ENV, "serial")
-        got = map_chunks(square_chunk, list(range(40)), workers=2)
-        assert got == want
-        assert manager.stats.leases == before  # routed serial: no pool lease
-
-    def test_calibrate_once_per_key(self):
-        from repro.parallel import WorkerPoolManager
-
-        manager = WorkerPoolManager()
-        try:
-            model = manager.calibrate(2, probe_items=32, rounds=1)
-            assert model.workers == 2
-            assert model.dispatch_overhead_s > 0
-            assert model.item_cost_s > 0
-            assert model.crossover_items() > 0
-            again = manager.calibrate(2, probe_items=32, rounds=1)
-            assert again is model  # cached, not re-measured
-            assert manager.model_for(2) is model
-        finally:
-            manager.shutdown_all()

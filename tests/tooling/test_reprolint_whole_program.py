@@ -466,23 +466,6 @@ class TestR2Flow:
         )
         assert run_reprolint(tmp_path) == []
 
-    def test_arena_lease_early_return_flagged(self, tmp_path):
-        write_module(
-            tmp_path,
-            "src/repro/bad.py",
-            """
-            def cache_lease(arena, coords, flag):
-                lease = arena.share(coords)
-                if flag:
-                    return None
-                lease.release()
-                return lease
-            """,
-        )
-        findings = run_reprolint(tmp_path)
-        assert [(f.rule, f.line) for f in findings] == [("R2", 2)]
-        assert "arena lease" in findings[0].message
-
     def test_pool_lease_never_closed_flagged(self, tmp_path):
         write_module(
             tmp_path,

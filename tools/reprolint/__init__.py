@@ -15,12 +15,12 @@ rules; phase 2 runs the whole-program rules over the combined index:
   timing seams (replay pacing, latency observability) carry per-file
   waivers in ``reprolint_baseline.toml``.
 * **R2 resource lifecycle (flow-based)** — every
-  ``SharedArray``/``SharedTrajectoryBatch`` ``create``/``attach``, arena
-  ``.share(...)`` lease, pool lease (``get_executor`` /
-  ``PoolManager.acquire``), and obs ``tracer.span`` must release on
-  *every* path out of the acquiring scope — early ``return``/``raise``
-  paths included — or transfer ownership (``with`` item, call argument,
-  returned/yielded value, stored into a container).
+  ``SharedArray``/``SharedTrajectoryBatch`` ``create``/``attach``, pool
+  lease (``get_executor`` / ``PoolManager.acquire``), and obs
+  ``tracer.span`` must release on *every* path out of the acquiring
+  scope — early ``return``/``raise`` paths included — or transfer
+  ownership (``with`` item, call argument, returned/yielded value, stored
+  into a container).
 * **R3 kernel parity** — every public function in
   ``repro/kernels/{distances,motion,screens}.py`` has a same-named scalar
   twin in ``kernels/reference.py`` and appears in

@@ -1,11 +1,11 @@
 """R2-flow: path-sensitive resource-lifecycle analysis (CFG-lite).
 
 Replaces the old lexical R2 check.  A *resource acquisition* — an shm
-``create``/``attach``, an arena ``.share(...)`` lease, a pool lease from
-``get_executor()`` / ``<manager>.acquire()``, or an obs ``tracer.span``
-context — must be provably paired with its release on **every** path out
-of the acquiring scope.  The analysis walks the statement structure from
-the acquisition onward and accepts exactly these dispositions:
+``create``/``attach``, a pool lease from ``get_executor()`` /
+``<manager>.acquire()``, or an obs ``tracer.span`` context — must be
+provably paired with its release on **every** path out of the acquiring
+scope.  The analysis walks the statement structure from the acquisition
+onward and accepts exactly these dispositions:
 
 * the acquisition is a ``with``-item context expression,
 * ownership escapes immediately (the value is passed to a call, returned,
@@ -64,8 +64,6 @@ def acquisition_kind(call: ast.Call, aliases: dict[str, str]) -> str | None:
             if base is not None and base.rsplit(".", 1)[-1] in SHM_CLASSES:
                 return "shared-memory segment"
         term = (_terminal_name(recv) or "").lower()
-        if func.attr == "share" and "arena" in term:
-            return "arena lease"
         if func.attr == "acquire" and ("manager" in term or term.endswith("pool")):
             return "pool lease"
         if func.attr == "span" and ("tracer" in term):
