@@ -1,10 +1,11 @@
 """Benchmark: fleet-level serial vs parallel execution (repro.parallel).
 
 Times the pool consumer on a 1k-trajectory workload at ``workers`` in
-{1, 2, cpu_count}:
+{1, 2, usable CPUs}:
 
 * ``Pipeline.run_many`` — a 3-stage cleaning pipeline with a quality probe
-  over every trajectory (shared-memory columnar handoff).
+  over every trajectory (pickled chunks; a trajectory pickles as its xyt
+  block).
 
 Store batches, the serving layer and pairwise similarity run in-process
 (their batches cost less than a pool round-trip), so they have no row
@@ -45,7 +46,13 @@ import numpy as np
 
 from repro.cleaning import median_filter, moving_average, remove_points, speed_outliers
 from repro.core import Pipeline, Stage, Trajectory
-from repro.parallel import ProcessExecutor, default_start_method, get_executor, get_pool_manager
+from repro.parallel import (
+    ProcessExecutor,
+    default_start_method,
+    get_executor,
+    get_pool_manager,
+    usable_cpus,
+)
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 SEED = 2022
@@ -222,7 +229,7 @@ def main(argv=None) -> int:
 
     cpu = os.cpu_count() or 1
     physical = physical_core_count()
-    max_workers = args.workers if args.workers else cpu
+    max_workers = args.workers if args.workers else usable_cpus()
     # The ISSUE-3 grid: serial, minimal parallel, and full fan-out.
     workers_list = sorted({1, 2, max_workers})
     if args.smoke:

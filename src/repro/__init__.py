@@ -19,9 +19,8 @@ the tutorial's taxonomy (Figure 2):
   online DQ metrics (the Sec. 2.4 middleware, made live),
 * :mod:`repro.kernels` — the vectorized compute core: columnar batch
   kernels backing every hot path above,
-* :mod:`repro.parallel` — the fleet-scale execution layer: process pools
-  with shared-memory columnar handoff behind a backend-agnostic
-  ``Executor`` protocol,
+* :mod:`repro.parallel` — the fleet-scale execution layer: warm process
+  pools behind a backend-agnostic ``Executor`` protocol,
 * :mod:`repro.obs` — observability: tracing, metrics, and profiling hooks
   across the pipeline, ingest, parallel, and querying layers (off by
   default; a single guard check when disabled),

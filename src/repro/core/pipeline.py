@@ -10,12 +10,12 @@ provides that coordination layer:
 * :class:`PipelineResult` — output plus a per-stage trace (timings and
   optional quality reports) for DQ-aware task planning.
 
-Fleet-scale entry points (:meth:`Pipeline.run_many` over a trajectory
+Fleet-scale entry points (:meth:`Pipeline.run_many` over a dataset
 collection, :meth:`Pipeline.run_ablations` with ``workers > 1``) execute on
-:mod:`repro.parallel`: trajectory inputs travel to pool workers through
-shared-memory columnar blocks, and the ``workers=1`` path produces
-bit-identical outputs to any parallel schedule.  Stage functions and probes
-must be picklable (module-level callables) for the parallel paths.
+:mod:`repro.parallel`: inputs travel to pool workers as pickled chunks (a
+trajectory as its columnar ``xyt`` block), and the ``workers=1`` path
+produces bit-identical outputs to any parallel schedule.  Stage functions
+and probes must be picklable (module-level callables) for the parallel paths.
 """
 
 from __future__ import annotations
@@ -93,28 +93,10 @@ def _run_items_chunk(payload: tuple) -> list:
     return [pipeline.run(d) for d in items]
 
 
-def _run_shm_chunk(payload: tuple) -> list:
-    """Worker: run a pipeline over a span of a shared trajectory batch."""
-    from ..parallel import SharedTrajectoryBatch
-
-    pipeline, handle, start, stop = payload
-    with SharedTrajectoryBatch.attach(handle) as batch:
-        return [pipeline.run(batch.trajectory(i)) for i in range(start, stop)]
-
-
 def _run_ablation_task(payload: tuple):
-    """Worker: run one leave-one-out configuration.
-
-    ``handle`` (when not ``None``) is a shared single-trajectory batch all
-    configurations attach to — the input is packed once, never per config.
-    """
-    from ..parallel import SharedTrajectoryBatch
-
-    pipeline, data, handle = payload
-    if handle is None:
-        return pipeline.run(data)
-    with SharedTrajectoryBatch.attach(handle) as batch:
-        return pipeline.run(batch.trajectory(0))
+    """Worker: run one leave-one-out configuration."""
+    pipeline, data = payload
+    return pipeline.run(data)
 
 
 class Pipeline(Generic[T]):
@@ -189,13 +171,10 @@ class Pipeline(Generic[T]):
         """Run the pipeline independently over a collection of datasets.
 
         Results come back in input order and match ``[self.run(d) for d in
-        datasets]`` exactly, for every worker count.  Trajectory collections
-        are handed to pool workers through one shared-memory columnar block
-        (:class:`repro.parallel.SharedTrajectoryBatch`); any other element
-        type falls back to pickling the chunk items.
+        datasets]`` exactly, for every worker count.  Each chunk of
+        datasets is pickled to its pool worker.
         """
-        from ..core.trajectory import Trajectory
-        from ..parallel import SharedTrajectoryBatch, chunk_spans, resolve_executor
+        from ..parallel import chunk_spans, resolve_executor
 
         items = list(datasets)
         if not items:
@@ -208,13 +187,8 @@ class Pipeline(Generic[T]):
             else _NULL
         )
         with cm, resolve_executor(workers, executor) as ex:
-            if all(isinstance(d, Trajectory) for d in items):
-                with SharedTrajectoryBatch.create(items) as batch:
-                    payloads = [(self, batch.handle, start, stop) for start, stop in spans]
-                    chunks = ex.map_ordered(_run_shm_chunk, payloads)
-            else:
-                payloads = [(self, items[start:stop]) for start, stop in spans]
-                chunks = ex.map_ordered(_run_items_chunk, payloads)
+            payloads = [(self, items[start:stop]) for start, stop in spans]
+            chunks = ex.map_ordered(_run_items_chunk, payloads)
         if obs_on:
             OBS.metrics.inc("repro_pipeline_datasets_total", (), float(len(items)))
         return [result for chunk in chunks for result in chunk]
@@ -231,12 +205,10 @@ class Pipeline(Generic[T]):
         Returns a mapping from the omitted stage name to that run's result
         (plus key ``"full"`` for the complete pipeline) — the measurement a
         planner uses to attribute quality gains to individual DQ services.
-        With ``workers > 1`` each configuration is one pool task; a
-        trajectory input is shared with all of them through one
-        shared-memory segment, and outputs are identical to the serial run.
+        With ``workers > 1`` each configuration is one pool task, and
+        outputs are identical to the serial run.
         """
-        from ..core.trajectory import Trajectory
-        from ..parallel import SharedTrajectoryBatch, resolve_executor
+        from ..parallel import resolve_executor
 
         configs: list[tuple[str, Pipeline[T]]] = [("full", self)]
         configs += [
@@ -249,11 +221,6 @@ class Pipeline(Generic[T]):
             else _NULL
         )
         with cm, resolve_executor(workers, executor) as ex:
-            if isinstance(data, Trajectory):
-                with SharedTrajectoryBatch.create([data]) as batch:
-                    payloads = [(p, None, batch.handle) for _, p in configs]
-                    outputs = ex.map_ordered(_run_ablation_task, payloads)
-            else:
-                payloads = [(p, data, None) for _, p in configs]
-                outputs = ex.map_ordered(_run_ablation_task, payloads)
+            payloads = [(p, data) for _, p in configs]
+            outputs = ex.map_ordered(_run_ablation_task, payloads)
         return {name: result for (name, _), result in zip(configs, outputs)}

@@ -95,6 +95,14 @@ class Trajectory:
         span = f"[{self._times[0]:.1f}, {self._times[-1]:.1f}]" if self._points else "[]"
         return f"Trajectory(id={self.object_id!r}, n={len(self)}, t={span})"
 
+    def __reduce__(self) -> tuple[Callable[[np.ndarray, str], Trajectory], tuple[np.ndarray, str]]:
+        """Pickle as the ``(n, 3)`` xyt block plus ``object_id``.
+
+        One float block per trajectory instead of one object per point;
+        cached derived arrays are not pickled and recompute lazily.
+        """
+        return _trajectory_from_xyt, (self.as_xyt(), self.object_id)
+
     # -- constructors --------------------------------------------------------------
 
     @classmethod
@@ -245,6 +253,11 @@ class Trajectory:
     def concat(self, other: "Trajectory") -> "Trajectory":
         """Append ``other`` (whose first timestamp must come after our last)."""
         return Trajectory(self._points + other._points, self.object_id)
+
+
+def _trajectory_from_xyt(xyt: np.ndarray, object_id: str) -> Trajectory:
+    """Unpickle target of :meth:`Trajectory.__reduce__`."""
+    return Trajectory([TrajectoryPoint(x, y, t) for x, y, t in xyt.tolist()], object_id)
 
 
 def mean_pointwise_error(truth: Trajectory, estimate: Trajectory) -> float:

@@ -18,6 +18,11 @@ All admissions, repairs, quarantines, drops, and rejections are accounted
 in the engine's :class:`~repro.ingest.registry.QualityRegistry`, whose
 conservation invariant (``offered == admitted + quarantined + dropped +
 rejected``) holds after :meth:`IngestEngine.close`.
+
+A gate, ``on_admit`` hook or sink that raises ends its shard's worker.
+From then on that shard never blocks a caller: a blocking ``offer`` into
+its full queue raises, and ``close`` discards its queue and re-raises the
+worker's error.  Readings stranded in a dead shard are not accounted.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ from .registry import IngestCounters, QualityRegistry
 POLICIES = ("block", "drop_oldest", "reject")
 
 _SENTINEL = object()
+
+#: How often a put waiting on a full shard queue re-checks that the shard's
+#: worker is still alive (a dead worker never frees a slot).
+_LIVENESS_POLL_S = 0.05
 
 #: Shared no-op context for disabled-observability paths.
 _NULL = nullcontext()
@@ -100,6 +109,15 @@ class LatencyStore:
 
     def __len__(self) -> int:
         return len(self.inner)
+
+
+def _discard_queued(q: queue.Queue) -> None:
+    """Empty a dead shard's queue (nothing will ever consume it)."""
+    while True:
+        try:
+            q.get_nowait()
+        except queue.Empty:
+            return
 
 
 def shard_of(sensor_id: str, n_shards: int) -> int:
@@ -172,11 +190,17 @@ class IngestEngine:
         self.registry.record_offer()
         if obs_on:
             OBS.metrics.inc("repro_ingest_offered_total")
-        q = self._queues[shard_of(event.sensor_id, self.n_shards)]
+        shard = shard_of(event.sensor_id, self.n_shards)
+        q = self._queues[shard]
         if self.policy == "block":
-            if obs_on and q.full():
-                OBS.metrics.inc("repro_ingest_backpressure_total", (("policy", "block"),))
-            q.put(event)
+            try:
+                q.put_nowait(event)
+            except queue.Full:
+                if obs_on:
+                    OBS.metrics.inc("repro_ingest_backpressure_total", (("policy", "block"),))
+                if not self._put_while_alive(shard, event):
+                    error = self._futures[shard].exception()
+                    raise RuntimeError(f"ingest shard {shard} worker died") from error
             return True
         if self.policy == "reject":
             try:
@@ -233,12 +257,27 @@ class IngestEngine:
         """
         if not self._closed:
             self._closed = True
-            for q in self._queues:
-                q.put(_SENTINEL)
-            for future in self._futures:
-                future.result()  # re-raises worker errors
-            self._executor.shutdown(wait=True)
+            for shard, q in enumerate(self._queues):
+                if not self._put_while_alive(shard, _SENTINEL):
+                    _discard_queued(q)
+            try:
+                for future in self._futures:
+                    future.result()  # re-raises worker errors
+            finally:
+                self._executor.shutdown(wait=True)
         return self.registry.counters_snapshot()
+
+    def _put_while_alive(self, shard: int, item: object) -> bool:
+        """Blocking put into ``shard``'s queue; False once its worker has died."""
+        q = self._queues[shard]
+        future = self._futures[shard]
+        while not future.done():
+            try:
+                q.put(item, timeout=_LIVENESS_POLL_S)
+                return True
+            except queue.Full:
+                pass
+        return False
 
     def __enter__(self) -> "IngestEngine":
         return self

@@ -6,7 +6,7 @@ grids — on all cores:
 
 * :mod:`~repro.parallel.executor` — the :class:`Executor` protocol with
   :class:`SerialExecutor` / :class:`ProcessExecutor` backends and the
-  deterministic :func:`map_chunks` / :func:`map_reduce` API,
+  deterministic :func:`map_chunks` API,
 * :mod:`~repro.parallel.pool` — the process-wide
   :class:`WorkerPoolManager`: one warm, prewarmed, health-checked pool per
   ``(workers, start_method)`` key, leased to consumers through
@@ -14,9 +14,10 @@ grids — on all cores:
 * :mod:`~repro.parallel.dispatch` — :func:`dispatch_decision`, the route
   one batch takes (a pool exactly when more than one worker is asked for),
 * :mod:`~repro.parallel.chunking` — worker-count-independent chunk spans
-  and stable per-item seed derivation,
-* :mod:`~repro.parallel.shm` — zero-copy shared-memory handoff of the
-  columnar ``xyt`` blocks (:class:`SharedArray`, :class:`SharedTrajectoryBatch`).
+  and stable per-item seed derivation.
+
+Work crosses the process boundary as ordinary pickled chunks; a
+:class:`~repro.core.Trajectory` pickles as its ``(n, 3)`` xyt block.
 
 Consumers: :meth:`repro.core.Pipeline.run_many` /
 :meth:`~repro.core.Pipeline.run_ablations` and the Table-1 grid runner
@@ -36,11 +37,10 @@ from .executor import (
     default_start_method,
     get_executor,
     map_chunks,
-    map_reduce,
     resolve_executor,
+    usable_cpus,
 )
 from .pool import PoolLease, PoolStats, WorkerPoolManager, get_pool_manager, shutdown_all
-from .shm import ArrayHandle, SharedArray, SharedTrajectoryBatch, TrajectoryBatchHandle
 
 __all__ = [
     "chunk_spans",
@@ -54,15 +54,11 @@ __all__ = [
     "default_start_method",
     "get_executor",
     "map_chunks",
-    "map_reduce",
     "resolve_executor",
+    "usable_cpus",
     "PoolLease",
     "PoolStats",
     "WorkerPoolManager",
     "get_pool_manager",
     "shutdown_all",
-    "ArrayHandle",
-    "SharedArray",
-    "SharedTrajectoryBatch",
-    "TrajectoryBatchHandle",
 ]

@@ -22,8 +22,7 @@ from __future__ import annotations
 import os
 from concurrent import futures
 from contextlib import contextmanager, nullcontext
-from functools import reduce as _fold
-from multiprocessing import get_context, resource_tracker
+from multiprocessing import get_context
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..obs import OBS, WorkerCapture
@@ -95,9 +94,8 @@ class ProcessExecutor:
 
     The pool is created lazily on first use and reused across calls, so a
     long-lived executor amortizes worker startup over many fleet batches.
-    ``fn`` and payloads must be picklable (module-level functions); shared
-    state should travel via :mod:`repro.parallel.shm` handles instead of
-    being pickled per task.
+    ``fn`` and payloads must be picklable (module-level functions); both
+    are pickled per task.
     """
 
     def __init__(self, workers: int, start_method: str | None = None) -> None:
@@ -109,14 +107,6 @@ class ProcessExecutor:
 
     def _ensure_pool(self) -> futures.ProcessPoolExecutor:
         if self._pool is None:
-            # Start the resource tracker *before* any worker exists.  A pool
-            # forked while the parent has no tracker hands every child
-            # ``_fd=None``, so each worker spawns a private tracker on its
-            # first shm attach; if those workers later die, their trackers
-            # exit and unlink every segment they registered — including
-            # segments still live in this process.  Pre-seeding the tracker
-            # makes all children (fork and spawn alike) share the parent's.
-            resource_tracker.ensure_running()
             ctx = get_context(self.start_method) if self.start_method else None
             self._pool = futures.ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
         return self._pool
@@ -172,10 +162,18 @@ class ProcessExecutor:
         self.close()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def get_executor(workers: int | None = None, start_method: str | None = None) -> Executor:
     """Executor for ``workers``: serial for <= 1, a warm pool lease otherwise.
 
-    ``workers=None`` means serial; ``workers=-1`` means one worker per CPU.
+    ``workers=None`` means serial; ``workers=-1`` means one worker per
+    usable CPU (:func:`usable_cpus`).
     Parallel requests lease the process-wide warm pool for
     ``(workers, start_method)`` from the
     :class:`~repro.parallel.pool.WorkerPoolManager` — the pool is created
@@ -183,7 +181,7 @@ def get_executor(workers: int | None = None, start_method: str | None = None) ->
     lease releases it without tearing the pool down.
     """
     if workers is not None and workers < 0:
-        workers = os.cpu_count() or 1
+        workers = usable_cpus()
     if workers is None or workers <= 1:
         return SerialExecutor()
     from .pool import get_pool_manager
@@ -280,50 +278,3 @@ def map_chunks(
             "map_chunks requires exactly one result per item"
         )
     return out
-
-
-def map_reduce(
-    fn: Callable[..., Any],
-    items: Sequence[Any],
-    reduce_fn: Callable[[Any, Any], Any],
-    *,
-    initial: Any = None,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    seed: int | None = None,
-    executor: Executor | None = None,
-) -> Any:
-    """Chunked map then ordered fold: ``reduce_fn`` over per-chunk results.
-
-    ``fn(chunk)`` (or ``fn(chunk, seeds)`` when ``seed`` is set) returns one
-    partial aggregate per chunk; partials are folded left-to-right in chunk
-    order, so non-commutative merges are still deterministic.  ``initial``
-    seeds the fold and is returned as-is for an empty work-list.
-    """
-    spans = chunk_spans(len(items), chunk_size)
-    payloads = [
-        (
-            fn,
-            list(items[start:stop]),
-            None if seed is None else derive_seeds(seed, start, stop),
-        )
-        for start, stop in spans
-    ]
-    cm = (
-        OBS.tracer.span("parallel.map_reduce", items=len(items), chunks=len(spans))
-        if OBS.enabled
-        else _NULL
-    )
-    with cm, resolve_executor(workers, executor) as ex:
-        partials = ex.map_ordered(_call_chunk_scalar, payloads)
-    if initial is None:
-        if not partials:
-            raise ValueError("map_reduce over an empty work-list requires `initial`")
-        return _fold(reduce_fn, partials)
-    return _fold(reduce_fn, partials, initial)
-
-
-def _call_chunk_scalar(payload: tuple) -> Any:
-    """Like :func:`_call_chunk` but the chunk result is a single aggregate."""
-    fn, chunk, seeds = payload
-    return fn(chunk) if seeds is None else fn(chunk, seeds)

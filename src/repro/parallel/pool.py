@@ -94,7 +94,6 @@ class PoolLease:
         if self._released:
             return
         self._released = True
-        self._manager.release(self._key)
 
     def __enter__(self) -> "PoolLease":
         return self
@@ -115,7 +114,6 @@ class WorkerPoolManager:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._pools: dict[PoolKey, ProcessExecutor] = {}
-        self._active_leases: dict[PoolKey, int] = {}
         self.stats = PoolStats()
 
     # -- key resolution ----------------------------------------------------------
@@ -150,7 +148,6 @@ class WorkerPoolManager:
                 pool = self._spawn(key)  # reprolint: disable=R9
             else:
                 self.stats.pool_reuses += 1
-            self._active_leases[key] = self._active_leases.get(key, 0) + 1
             self.stats.leases += 1
             self._export_gauge()
         return PoolLease(self, key, pool, pool_was_warm=warm)
@@ -186,11 +183,6 @@ class WorkerPoolManager:
             self._export_gauge()
             return pool
 
-    def release(self, key: PoolKey) -> None:
-        """Return a lease; pools stay warm until :meth:`shutdown_all`."""
-        with self._lock:
-            self._active_leases[key] = max(0, self._active_leases.get(key, 0) - 1)
-
     def active_workers(self) -> int:
         """Worker processes currently kept alive across all warm pools."""
         with self._lock:
@@ -201,7 +193,6 @@ class WorkerPoolManager:
         with self._lock:
             pools = list(self._pools.values())
             self._pools.clear()
-            self._active_leases.clear()
         for pool in pools:
             pool.close()
         with self._lock:

@@ -56,7 +56,6 @@ class ServeStats:
     cache_hits: int = 0  # answered from the epoch-validated cache
     shed: int = 0  # refused or displaced by admission control
     kernel_calls: int = 0  # batched range_query_many/knn_many dispatches
-    batches: int = 0
     max_batch_seen: int = 0
     max_depth_seen: int = 0
     compactions: int = 0  # opportunistic store compactions between batches
@@ -74,7 +73,6 @@ class ServeStats:
             "cache_hits": self.cache_hits,
             "shed": self.shed,
             "kernel_calls": self.kernel_calls,
-            "batches": self.batches,
             "max_batch_seen": self.max_batch_seen,
             "max_depth_seen": self.max_depth_seen,
             "compactions": self.compactions,
@@ -396,7 +394,6 @@ class QueryService:
                     hits = self.store.knn_many(centers, k)
                     pid_sets = self.store.knn_partition_sets(centers, hits, k)
         self.stats.kernel_calls += 1
-        self.stats.batches += 1
         if len(batch) > self.stats.max_batch_seen:
             self.stats.max_batch_seen = len(batch)
         if obs_on:

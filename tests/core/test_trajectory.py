@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Point,
@@ -18,6 +22,31 @@ def make(points):
 def straight():
     """Uniform motion along x at 1 m/s for 10 s."""
     return make([(float(i), 0.0, float(i)) for i in range(11)])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trajectories(draw):
+    """0-50 points: finite coordinates (``-0.0`` included), strictly increasing times."""
+    n = draw(st.integers(min_value=0, max_value=50))
+    ts = sorted(draw(st.lists(_FINITE, min_size=n, max_size=n, unique=True)))
+    coords = st.lists(st.one_of(st.just(-0.0), _FINITE), min_size=n, max_size=n)
+    return Trajectory.from_arrays(draw(coords), draw(coords), ts, draw(st.text()))
+
+
+class TestPickle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(traj=trajectories())
+    def test_round_trip_is_bit_identical(self, traj):
+        data = pickle.dumps(traj)
+        back = pickle.loads(data)
+        assert back == traj
+        assert back.object_id == traj.object_id
+        assert back.as_xyt().shape == traj.as_xyt().shape
+        assert back.as_xyt().tobytes() == traj.as_xyt().tobytes()  # sign of zero too
+        assert b"TrajectoryPoint" not in data  # one xyt block, not an object per point
 
 
 class TestConstruction:

@@ -1,5 +1,6 @@
 """Engine behavior: sharding, accounting conservation, backpressure, shutdown."""
 
+import threading
 import time
 
 import numpy as np
@@ -37,6 +38,37 @@ class SlowGate(StreamingGate):
         """Admit after sleeping (models an expensive per-reading check)."""
         time.sleep(self.seconds)
         return [self._admit(event)]
+
+
+class GateExploded(Exception):
+    """Raised by :class:`ExplodingGate`."""
+
+
+class ExplodingGate(StreamingGate):
+    """Test-only gate that raises on every reading (kills its shard's worker)."""
+
+    name = "exploding"
+
+    def offer(self, event):
+        """Fail the reading."""
+        raise GateExploded(event.sensor_id)
+
+
+def _outcome_within(fn, seconds=5.0):
+    """Run ``fn`` in a daemon thread joined with a time bound; its outcome."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # the outcome under test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"call still blocked after {seconds} s"
+    return outcome
 
 
 def _stream(seed=0, n_sensors=20, t_end=120.0, interval=5.0):
@@ -203,6 +235,42 @@ class TestBackpressure:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             IngestEngine(policy="nope")
+
+
+class TestDeadShard:
+    """A shard whose worker died must fail its callers, never hang them."""
+
+    def _engine(self, policy):
+        return IngestEngine(
+            n_shards=1, gate_factories=[ExplodingGate], queue_size=4, policy=policy
+        )
+
+    def _events(self, n=50):
+        return [IngestEvent("s0", 0.0, 0.0, float(t), 0.0, float(t)) for t in range(n)]
+
+    def test_blocking_offer_raises_once_queue_fills(self):
+        engine = self._engine("block")
+        outcome = _outcome_within(lambda: [engine.offer(ev) for ev in self._events()])
+        error = outcome.get("error")
+        assert isinstance(error, RuntimeError) and "died" in str(error)
+        assert isinstance(error.__cause__, GateExploded)
+        with pytest.raises(GateExploded):
+            engine.close()
+
+    def test_close_discards_full_queue_and_reraises(self):
+        engine = self._engine("reject")
+        events = self._events()
+        assert engine.offer(events[0])
+        deadline = time.monotonic() + 5.0
+        while not engine.registry.sensor_ids and time.monotonic() < deadline:
+            time.sleep(0.001)
+        # The worker has taken the first reading and dies on it, so the
+        # next four fill its queue for good.
+        assert [engine.offer(ev) for ev in events[1:6]] == [True] * 4 + [False]
+        outcome = _outcome_within(engine.close)
+        assert isinstance(outcome.get("error"), GateExploded)
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.offer(events[0])
 
 
 class TestRegistryIntegration:

@@ -1,11 +1,11 @@
 """Serial-vs-parallel equivalence suite for the fleet execution layer.
 
-The contract under test: for every pool consumer — ``map_chunks`` /
-``map_reduce``, ``Pipeline.run_many``, parallel ``run_ablations``, the
-Table-1 grid — the ``workers=1`` output is identical to the output at any
-worker count, including empty-collection, single-item, and chunk-boundary
-cases; store batches handed an executor answer exactly as without one;
-and shared-memory segments are unlinked on error paths.
+The contract under test: for every pool consumer — ``map_chunks``,
+``Pipeline.run_many``, parallel ``run_ablations``, the Table-1 grid — the
+``workers=1`` output is identical to the output at any worker count,
+including empty-collection, single-item, and chunk-boundary cases; store
+batches handed an executor answer exactly as without one; and a stage
+error surfaces to the caller without spoiling the executor.
 
 Worker functions live at module level so they pickle under every start
 method (set ``REPRO_PARALLEL_START_METHOD=spawn`` to exercise the CI
@@ -26,14 +26,11 @@ from repro.analytics import pairwise_distances
 from repro.core import Pipeline, Point, Stage, Trajectory
 from repro.parallel import (
     SerialExecutor,
-    SharedArray,
-    SharedTrajectoryBatch,
     chunk_spans,
     derive_seed,
     derive_seeds,
     get_executor,
     map_chunks,
-    map_reduce,
 )
 from repro.querying import PartitionedStore, grid_partition, kd_partition, skewed_points
 
@@ -84,18 +81,6 @@ def seeded_normal_chunk(chunk, seeds):
 
 def bad_arity_chunk(chunk):
     return [0] * (len(chunk) + 1)
-
-
-def sum_chunk(chunk):
-    return sum(chunk)
-
-
-def join_chunk(chunk):
-    return "".join(str(x) for x in chunk)
-
-
-def concat(a, b):
-    return a + b
 
 
 def stage_downsample(traj):
@@ -165,7 +150,7 @@ class TestChunking:
         assert whole == derive_seeds(7, 0, 4) + derive_seeds(7, 4, 10)
 
 
-# -- map_chunks / map_reduce ---------------------------------------------------
+# -- map_chunks ----------------------------------------------------------------
 
 
 class TestMapChunks:
@@ -202,25 +187,6 @@ class TestMapChunks:
     def test_wrong_result_count_raises(self):
         with pytest.raises(ValueError, match="one result per item"):
             map_chunks(bad_arity_chunk, [1, 2, 3])
-
-    def test_map_reduce_sum(self, pools):
-        items = list(range(100))
-        for w in WORKER_COUNTS:
-            total = map_reduce(sum_chunk, items, concat, executor=pools[w])
-            assert total == sum(items)
-
-    def test_map_reduce_ordered_fold(self, pools):
-        """Non-commutative merge: chunk partials fold in chunk order."""
-        items = list(range(20))
-        want = "".join(str(x) for x in items)
-        for w in WORKER_COUNTS:
-            got = map_reduce(join_chunk, items, concat, chunk_size=3, executor=pools[w])
-            assert got == want
-
-    def test_map_reduce_empty(self):
-        assert map_reduce(sum_chunk, [], concat, initial=0) == 0
-        with pytest.raises(ValueError, match="initial"):
-            map_reduce(sum_chunk, [], concat)
 
 
 # -- Pipeline.run_many / run_ablations ----------------------------------------
@@ -284,6 +250,19 @@ class TestPipelineParallel:
         for w in WORKER_COUNTS:
             got = {k: r.output for k, r in pipeline.run_ablations(5, executor=pools[w]).items()}
             assert got == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_many_stage_error_propagates(self, workers):
+        """A raising stage surfaces to the caller; the executor stays usable."""
+        with get_executor(workers) as ex:
+            with pytest.raises(RuntimeError, match="stage exploded"):
+                Pipeline([Stage("boom", stage_raise)]).run_many(
+                    [make_trajectory(1), make_trajectory(2)], executor=ex
+                )
+            pipeline = make_pipeline()
+            fleet = [make_trajectory(i, object_id=f"t{i}") for i in range(3)]
+            got = pipeline.run_many(fleet, executor=ex)
+            assert [r.output for r in got] == [pipeline.run(t).output for t in fleet]
 
     def test_probe_seconds_recorded(self):
         result = make_pipeline().run(make_trajectory(4))
@@ -389,81 +368,6 @@ class TestTable1Grid:
         assert len(serial) == 30
 
 
-# -- shared-memory lifecycle ---------------------------------------------------
-
-
-class TestSharedMemoryLifecycle:
-    def test_roundtrip_and_owner_unlink(self):
-        arr = np.arange(12, dtype=float).reshape(3, 4)
-        owner = SharedArray.create(arr)
-        name = owner.handle.name
-        borrowed = SharedArray.attach(owner.handle)
-        assert np.array_equal(borrowed.array, arr)
-        borrowed.release()  # borrower close leaves the segment alive
-        again = SharedArray.attach(owner.handle)
-        again.release()
-        owner.release()
-        with pytest.raises(FileNotFoundError):
-            SharedArray.attach(owner.handle)
-        assert name  # segment name was real
-
-    def test_release_is_idempotent(self):
-        owner = SharedArray.create(np.zeros(3))
-        owner.release()
-        owner.release()
-
-    def test_batch_unlinked_on_error_path(self):
-        fleet = [make_trajectory(i) for i in range(3)]
-        with pytest.raises(RuntimeError):
-            with SharedTrajectoryBatch.create(fleet) as batch:
-                handle = batch.handle
-                raise RuntimeError("consumer failed mid-flight")
-        with pytest.raises(FileNotFoundError):
-            SharedTrajectoryBatch.attach(handle)
-
-    def test_batch_roundtrip(self):
-        fleet = [make_trajectory(i, n=5 + i, object_id=f"t{i}") for i in range(4)]
-        with SharedTrajectoryBatch.create(fleet) as batch:
-            view = SharedTrajectoryBatch.attach(batch.handle)
-            try:
-                assert view.trajectories() == fleet
-            finally:
-                view.release()
-
-    def test_empty_batch(self):
-        with SharedTrajectoryBatch.create([]) as batch:
-            assert len(batch) == 0
-            assert batch.trajectories() == []
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_many_unlinks_segment_when_stage_raises(self, monkeypatch, workers):
-        """A crashing consumer must not leak its shared segment."""
-        import repro.parallel as parallel_pkg
-
-        created: list = []
-        real_create = SharedTrajectoryBatch.create.__func__
-
-        class Recorder(SharedTrajectoryBatch):
-            @classmethod
-            def create(cls, trajectories):
-                batch = real_create(cls, trajectories)
-                created.append(batch.handle)
-                return batch
-
-        monkeypatch.setattr(parallel_pkg, "SharedTrajectoryBatch", Recorder)
-        pipeline = Pipeline([Stage("boom", stage_raise)])
-        with pytest.raises(RuntimeError, match="stage exploded"):
-            pipeline.run_many([make_trajectory(1), make_trajectory(2)], workers=workers)
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):
-            SharedTrajectoryBatch.attach(created[0])
-
-    def test_serial_executor_selected_for_one_worker(self):
-        assert isinstance(get_executor(None), SerialExecutor)
-        assert isinstance(get_executor(1), SerialExecutor)
-        assert get_executor(-1).workers >= 1
-
-
 # -- worker pool manager -------------------------------------------------------
 
 
@@ -472,6 +376,18 @@ def _square(x: int) -> int:
 
 
 class TestWorkerPoolManager:
+    def test_serial_executor_selected_for_one_worker(self):
+        assert isinstance(get_executor(None), SerialExecutor)
+        assert isinstance(get_executor(1), SerialExecutor)
+        assert get_executor(-1).workers >= 1
+
+    def test_all_workers_means_usable_cpus(self, monkeypatch):
+        """``workers=-1`` counts the CPUs this process may run on."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert isinstance(get_executor(-1), SerialExecutor)
+
     def test_acquire_rejects_serial_counts(self):
         from repro.parallel import WorkerPoolManager
 

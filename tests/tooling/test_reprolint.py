@@ -131,43 +131,44 @@ class TestR1Determinism:
         assert rules_of(run_reprolint(tmp_path)) == {"R1"}
 
 
-# -- R2: shm lifecycle ---------------------------------------------------------
+# -- R2: pool-lease lifecycle ----------------------------------------------------
 
 
 class TestR2ShmLifecycle:
+    """R2 over pool leases (the class name predates them; test ids are kept)."""
+
     def test_unpaired_create_flagged(self, tmp_path):
         write_module(
             tmp_path,
             "src/repro/bad.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def leak(arr):
-                shared = SharedArray.create(arr)
-                return shared.handle
+            def leak(workers):
+                lease = get_executor(workers)
+                return lease.workers
             """,
         )
         findings = run_reprolint(tmp_path)
         assert [f.rule for f in findings] == ["R2"]
 
     def test_create_before_try_flagged(self, tmp_path):
-        # The exact leak shape fixed in PartitionedStore._run_batch: the
-        # first segment is acquired before the try, so a failing second
+        # The first lease is acquired before the try, so a failing second
         # acquisition leaks it.
         write_module(
             tmp_path,
             "src/repro/bad.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
             def fan_out(a, b):
-                first = SharedArray.create(a)
-                second = SharedArray.create(b)
+                first = get_executor(a)
+                second = get_executor(b)
                 try:
-                    return first.handle, second.handle
+                    return first.workers, second.workers
                 finally:
-                    first.release()
-                    second.release()
+                    first.close()
+                    second.close()
             """,
         )
         findings = run_reprolint(tmp_path)
@@ -178,18 +179,18 @@ class TestR2ShmLifecycle:
             tmp_path,
             "src/repro/good.py",
             """
-            from repro.parallel import SharedArray, SharedTrajectoryBatch
+            from repro.parallel import get_executor, get_pool_manager
 
-            def use_with(arr, trajs):
-                with SharedArray.create(arr) as a, SharedTrajectoryBatch.create(trajs) as b:
-                    return a.handle, b.handle
+            def use_with(a, b):
+                with get_executor(a) as x, get_pool_manager().acquire(b) as y:
+                    return x.workers, y.workers
 
-            def use_try(handle):
-                batch = SharedTrajectoryBatch.attach(handle)
+            def use_try(workers):
+                lease = get_executor(workers)
                 try:
-                    return batch.trajectory(0)
+                    return lease.workers
                 finally:
-                    batch.release()
+                    lease.close()
             """,
         )
         assert run_reprolint(tmp_path) == []
@@ -199,11 +200,11 @@ class TestR2ShmLifecycle:
             tmp_path,
             "src/repro/factory.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def handoff(arr):
-                shared = SharedArray.create(arr)  # reprolint: disable=R2
-                return shared
+            def handoff(workers):
+                lease = get_executor(workers)  # reprolint: disable=R2
+                return lease
             """,
         )
         assert run_reprolint(tmp_path) == []

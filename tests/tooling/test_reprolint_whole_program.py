@@ -414,13 +414,13 @@ class TestR2Flow:
             tmp_path,
             "src/repro/bad.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def filtered(arr, flag):
-                shared = SharedArray.create(arr)
+            def filtered(workers, flag):
+                lease = get_executor(workers)
                 if flag:
                     return None
-                shared.release()
+                lease.close()
                 return True
             """,
         )
@@ -433,12 +433,12 @@ class TestR2Flow:
             tmp_path,
             "src/repro/bad.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def risky(arr, n):
-                shared = SharedArray.create(arr)
+            def risky(workers, n):
+                lease = get_executor(workers)
                 total = complicated(n)
-                shared.release()
+                lease.close()
                 return total
             """,
         )
@@ -451,16 +451,16 @@ class TestR2Flow:
             tmp_path,
             "src/repro/good.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def careful(arr, n):
-                shared = SharedArray.create(arr)
+            def careful(workers, n):
+                lease = get_executor(workers)
                 try:
                     total = complicated(n)
                 except BaseException:
-                    shared.release()
+                    lease.close()
                     raise
-                shared.release()
+                lease.close()
                 return total
             """,
         )
@@ -503,28 +503,28 @@ class TestR2Flow:
             """
             from contextlib import ExitStack
 
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def factory(arr):
-                return Wrapper(SharedArray.create(arr))
+            def factory(workers):
+                return Wrapper(get_executor(workers))
 
-            def stacked(handles):
+            def stacked(counts):
                 with ExitStack() as stack:
-                    return [stack.enter_context(SharedArray.attach(h)).array for h in handles]
+                    return [stack.enter_context(get_executor(w)).workers for w in counts]
 
-            def stored(self, arr):
-                block = SharedArray.create(arr)
-                self._blocks[0] = (arr, block)
-                return block
+            def stored(self, workers):
+                lease = get_executor(workers)
+                self._leases[0] = (workers, lease)
+                return lease
 
             def spanned(tracer):
                 span = tracer.span("op")
                 with span:
                     return 1
 
-            def conditional(arena, arr):
-                block = arena.share(arr) if arena is not None else SharedArray.create(arr)
-                return block
+            def conditional(executor, workers):
+                ex = executor if executor is not None else get_executor(workers)
+                return ex
             """,
         )
         assert run_reprolint(tmp_path) == []
@@ -534,15 +534,15 @@ class TestR2Flow:
             tmp_path,
             "src/repro/bad.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
             def clobber(a, b):
-                shared = SharedArray.create(a)
-                shared = SharedArray.create(b)
+                lease = get_executor(a)
+                lease = get_executor(b)
                 try:
-                    return shared.handle
+                    return lease.workers
                 finally:
-                    shared.release()
+                    lease.close()
             """,
         )
         findings = run_reprolint(tmp_path)
@@ -554,11 +554,11 @@ class TestR2Flow:
             tmp_path,
             "src/repro/bad.py",
             """
-            from repro.parallel import SharedArray
+            from repro.parallel import get_executor
 
-            def per_chunk(chunks):
-                for chunk in chunks:
-                    shared = SharedArray.create(chunk)
+            def per_chunk(counts):
+                for workers in counts:
+                    lease = get_executor(workers)
                 return None
             """,
         )

@@ -2,7 +2,7 @@
 
 The repository's credibility as a reproduction rests on invariants that
 ``ruff``/``mypy`` do not know about: seeded determinism (``workers=1``
-bit-identical to ``workers=N``), the shared-memory unlink-on-error
+bit-identical to ``workers=N``), the pool-lease release-on-error
 contract, and every columnar kernel having a scalar reference twin.  This
 package runs a two-phase analysis over ``src/repro``: phase 1 parses each
 file once into a cached :class:`~tools.reprolint.core.ModuleInfo`
@@ -14,13 +14,11 @@ rules; phase 2 runs the whole-program rules over the combined index:
   calls (``time.time``/``datetime.now``/…) in library code.  Genuine
   timing seams (replay pacing, latency observability) carry per-file
   waivers in ``reprolint_baseline.toml``.
-* **R2 resource lifecycle (flow-based)** — every
-  ``SharedArray``/``SharedTrajectoryBatch`` ``create``/``attach``, pool
-  lease (``get_executor`` / ``PoolManager.acquire``), and obs
-  ``tracer.span`` must release on *every* path out of the acquiring
-  scope — early ``return``/``raise`` paths included — or transfer
-  ownership (``with`` item, call argument, returned/yielded value, stored
-  into a container).
+* **R2 resource lifecycle (flow-based)** — every pool lease
+  (``get_executor`` / ``PoolManager.acquire``) and obs ``tracer.span``
+  must release on *every* path out of the acquiring scope — early
+  ``return``/``raise`` paths included — or transfer ownership (``with``
+  item, call argument, returned/yielded value, stored into a container).
 * **R3 kernel parity** — every public function in
   ``repro/kernels/{distances,motion,screens}.py`` has a same-named scalar
   twin in ``kernels/reference.py`` and appears in

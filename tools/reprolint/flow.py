@@ -1,17 +1,17 @@
 """R2-flow: path-sensitive resource-lifecycle analysis (CFG-lite).
 
-Replaces the old lexical R2 check.  A *resource acquisition* — an shm
-``create``/``attach``, a pool lease from ``get_executor()`` /
-``<manager>.acquire()``, or an obs ``tracer.span`` context — must be
-provably paired with its release on **every** path out of the acquiring
-scope.  The analysis walks the statement structure from the acquisition
-onward and accepts exactly these dispositions:
+Replaces the old lexical R2 check.  A *resource acquisition* — a pool
+lease from ``get_executor()`` / ``<manager>.acquire()``, or an obs
+``tracer.span`` context — must be provably paired with its release on
+**every** path out of the acquiring scope.  The analysis walks the
+statement structure from the acquisition onward and accepts exactly these
+dispositions:
 
 * the acquisition is a ``with``-item context expression,
 * ownership escapes immediately (the value is passed to a call, returned,
   yielded, or stored into an attribute/subscript/container — transfer of
   the release obligation, e.g. ``stack.enter_context(...)`` or a factory
-  ``return cls(SharedArray.attach(h), ...)``),
+  ``return cls(get_executor(workers), ...)``),
 * the bound name reaches a release (``release``/``close``/``unlink``/
   ``shutdown``), a ``with name`` block, or an ownership escape, with no
   unprotected early ``return``, ``raise``, or may-raise statement in
@@ -23,11 +23,11 @@ leaks in the window between acquisition and the protecting ``try``, and
 rebinding a still-held name — while no longer flagging ownership-transfer
 factories that needed ``# reprolint: disable=R2`` pragmas before.
 
-Deliberately strict (matching the repo's unlink-on-error contract): any
+Deliberately strict (matching the repo's release-on-error contract): any
 statement that can raise while a resource is held unprotected counts as a
 leak path, because an exception there has no release site.  Attribute
-access on the result without keeping the owner (``return shared.handle``)
-is a leak — the segment can never be released.
+access on the result without keeping the owner (``return lease.workers``)
+is a leak — the lease can never be released.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import Finding, Module
 from .rules import dotted_name, import_aliases, parent_map
 
 RELEASE_METHODS = {"release", "close", "unlink", "shutdown"}
-SHM_CLASSES = {"SharedArray", "SharedTrajectoryBatch"}
 _ACQUIRE_FUNCS = {"get_executor"}
 
 _TRANSPARENT = (ast.IfExp, ast.Tuple, ast.List, ast.Set, ast.Starred, ast.Await, ast.NamedExpr)
@@ -59,10 +58,6 @@ def acquisition_kind(call: ast.Call, aliases: dict[str, str]) -> str | None:
     func = call.func
     if isinstance(func, ast.Attribute):
         recv = func.value
-        if func.attr in {"create", "attach"}:
-            base = dotted_name(recv)
-            if base is not None and base.rsplit(".", 1)[-1] in SHM_CLASSES:
-                return "shared-memory segment"
         term = (_terminal_name(recv) or "").lower()
         if func.attr == "acquire" and ("manager" in term or term.endswith("pool")):
             return "pool lease"
