@@ -128,6 +128,22 @@ class BBox:
         return math.hypot(dx, dy)
 
 
+def boxes_containing(
+    boxes: Sequence[tuple[float, float, float, float]], x: float, y: float
+) -> list[int]:
+    """Ascending indices of the closed ``(min_x, min_y, max_x, max_y)``
+    boxes that contain ``(x, y)`` (the :meth:`BBox.contains` test).
+
+    A scalar scan for one point: over a few dozen box tuples it costs
+    less than building a NumPy mask.  A NaN coordinate lies in no box.
+    """
+    return [
+        i
+        for i, (x0, y0, x1, y1) in enumerate(boxes)
+        if x0 <= x <= x1 and y0 <= y <= y1
+    ]
+
+
 def euclidean(a: Point, b: Point) -> float:
     """Euclidean distance between two planar points."""
     return a.distance_to(b)

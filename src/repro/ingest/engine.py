@@ -2,36 +2,46 @@
 
 :class:`IngestEngine` is the middleware front door: producers ``offer``
 readings, a stable hash of the sensor id routes each reading to one of N
-shard workers (so one sensor's stream is always processed in order by a
-single worker), and every reading runs through a per-sensor chain of
+logical shards, and every reading runs through a per-sensor chain of
 quality gates (:mod:`repro.ingest.gates`) before admission to a store.
+
+Shards are logical, not threads.  One writer thread runs every shard: it
+takes everything queued in one lock round and processes it in offer
+order, so one sensor's readings are processed in the order they were
+offered.  Python threads that only compute contend for the interpreter
+lock and for the store's locks, so more of them would add no throughput.
+Only a sink whose ``write`` waits on I/O declares ``io_bound = True``
+(:class:`LatencyStore` does); writes then overlap, with one writer
+thread per shard.
 
 Each shard has a bounded queue; when a queue fills, the engine applies one
 of three explicit backpressure policies:
 
 * ``block`` — the producer waits (lossless, producer-paced),
-* ``drop_oldest`` — the oldest queued reading is evicted (freshness wins),
+* ``drop_oldest`` — the shard's oldest queued reading is evicted
+  (freshness wins),
 * ``reject`` — the new reading is refused and ``offer`` returns False
   (caller-visible load shedding).
 
 All admissions, repairs, quarantines, drops, and rejections are accounted
 in the engine's :class:`~repro.ingest.registry.QualityRegistry`, whose
 conservation invariant (``offered == admitted + quarantined + dropped +
-rejected``) holds after :meth:`IngestEngine.close`.
+rejected + failed``) holds after :meth:`IngestEngine.close`.
 
-A gate, ``on_admit`` hook or sink that raises ends its shard's worker.
-From then on that shard never blocks a caller: a blocking ``offer`` into
-its full queue raises, and ``close`` discards its queue and re-raises the
-worker's error.  Readings stranded in a dead shard are not accounted.
+A gate, ``on_admit`` hook or sink that raises ends its writer thread, and
+with it every shard that thread serves: all of them, unless the sink is
+I/O-bound.  From then on those shards never block a caller: a blocking
+``offer`` into a full queue raises, and ``close`` discards their queues,
+counts every reading they accepted but never settled as ``failed``, and
+re-raises the writer's error.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
 from contextlib import nullcontext
 from typing import Callable, Iterable, Sequence
 
@@ -44,12 +54,6 @@ from .registry import IngestCounters, QualityRegistry
 
 #: Recognized backpressure policies for full shard queues.
 POLICIES = ("block", "drop_oldest", "reject")
-
-_SENTINEL = object()
-
-#: How often a put waiting on a full shard queue re-checks that the shard's
-#: worker is still alive (a dead worker never frees a slot).
-_LIVENESS_POLL_S = 0.05
 
 #: Shared no-op context for disabled-observability paths.
 _NULL = nullcontext()
@@ -92,8 +96,13 @@ class LatencyStore:
     Real sinks (time-series databases, message logs) cost wall time per
     write; wrapping :class:`InMemoryStore` in this decorator makes the
     sharding benchmark honest about where streaming ingestion actually
-    spends its time.
+    spends its time.  Its ``write`` sleeps, so it declares ``io_bound``:
+    an engine over it runs one writer thread per shard, and the sleeps
+    overlap.
     """
+
+    #: ``write`` waits on (emulated) I/O: the engine gives each shard a thread.
+    io_bound = True
 
     def __init__(self, inner, write_latency: float) -> None:
         if write_latency < 0:
@@ -111,18 +120,120 @@ class LatencyStore:
         return len(self.inner)
 
 
-def _discard_queued(q: queue.Queue) -> None:
-    """Empty a dead shard's queue (nothing will ever consume it)."""
-    while True:
-        try:
-            q.get_nowait()
-        except queue.Empty:
-            return
-
-
 def shard_of(sensor_id: str, n_shards: int) -> int:
     """Stable shard assignment: CRC32 of the sensor id modulo shard count."""
     return zlib.crc32(sensor_id.encode("utf-8")) % n_shards
+
+
+class _Writer:
+    """One writer thread's queue: the shards it serves, in one FIFO.
+
+    Producers and the writer meet on one Condition.  The FIFO holds
+    ``(shard, event)`` pairs in offer order, and a per-shard count keeps
+    each shard's queued readings within ``queue_size``.  The writer takes
+    the whole FIFO in one lock round.  Every reading that enters the FIFO
+    is counted, so that the engine can tell at close how many it accepted
+    but never settled.
+    """
+
+    def __init__(
+        self,
+        shards: Sequence[int],
+        queue_size: int,
+        policy: str,
+        registry: QualityRegistry,
+    ) -> None:
+        self.shards = tuple(shards)
+        self.queue_size = queue_size
+        self.policy = policy
+        self.registry = registry
+        self._cond = threading.Condition(threading.Lock())
+        self._fifo: deque[tuple[int, IngestEvent]] = deque()
+        self._queued = dict.fromkeys(self.shards, 0)
+        self._closed = False
+        self.error: BaseException | None = None
+        self.accepted = 0  # entered the FIFO
+        self.evicted = 0  # left it under drop_oldest
+        self.settled = 0  # outcomes recorded; written by the writer thread only
+
+    def put(self, shard: int, event: IngestEvent) -> bool:
+        """Queue one reading under the backpressure policy (see ``offer``).
+
+        The closed check, the ``offered`` count and the enqueue are one
+        critical section, and the closed check runs again after every
+        wait: a reading is either refused, or queued before the writer's
+        last take.
+        """
+        obs_on = OBS.enabled
+        with self._cond:
+            blocked = False
+            while True:
+                if self._closed:
+                    raise RuntimeError("engine is closed")
+                if self._queued[shard] < self.queue_size:
+                    break
+                if obs_on and not blocked:
+                    OBS.metrics.inc("repro_ingest_backpressure_total", (("policy", self.policy),))
+                if self.policy == "reject":
+                    self.registry.record_offer()
+                    self.registry.record_rejected()
+                    return False
+                if self.policy == "drop_oldest":
+                    self._evict_oldest(shard)
+                    break
+                if self.error is not None:
+                    raise RuntimeError(f"ingest shard {shard} worker died") from self.error
+                blocked = True
+                self._cond.wait()
+            self.registry.record_offer()
+            self._fifo.append((shard, event))
+            self._queued[shard] += 1
+            self.accepted += 1
+            if len(self._fifo) == 1:
+                self._cond.notify_all()  # the writer may be waiting for work
+        return True
+
+    def _evict_oldest(self, shard: int) -> None:
+        """Drop ``shard``'s oldest queued reading (caller holds the Condition)."""
+        for i, (owner, _event) in enumerate(self._fifo):
+            if owner == shard:
+                del self._fifo[i]
+                break
+        self._queued[shard] -= 1
+        self.evicted += 1
+        self.registry.record_dropped()
+
+    def take(self) -> deque[tuple[int, IngestEvent]] | None:
+        """Everything queued, in offer order; None once closed and drained."""
+        with self._cond:
+            while not self._fifo:
+                if self._closed:
+                    return None
+                self._cond.wait()
+            batch, self._fifo = self._fifo, deque()
+            for shard in self.shards:
+                self._queued[shard] = 0
+            self._cond.notify_all()  # producers blocked on a full shard
+            return batch
+
+    def fail(self, error: BaseException) -> None:
+        """Record the writer's error and wake every blocked producer."""
+        with self._cond:
+            self.error = error
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """Refuse further readings; the writer drains the FIFO and exits."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def unsettled(self) -> int:
+        """Discard what is still queued; count what was accepted but never
+        settled (call once the thread has exited)."""
+        with self._cond:
+            self._fifo.clear()
+        return self.accepted - self.evicted - self.settled
 
 
 class IngestEngine:
@@ -137,8 +248,19 @@ class IngestEngine:
     write — the seam the serving layer uses to bump partition quality
     epochs (:func:`repro.serve.ingest_epoch_hook`).
 
+    ``n_shards`` logical shards, each with a ``queue_size`` bound, share
+    one writer thread, which processes readings in offer order.  Readings
+    therefore settle in offer order under ``block``, except where a
+    buffering gate (:class:`~repro.ingest.gates.ReorderGate`) releases
+    them in its own order, and store ids depend on the offered sequence
+    alone, not on ``n_shards``.  A store that declares ``io_bound = True``
+    (:class:`LatencyStore`) gets one writer thread per shard instead.  A
+    gate, hook or sink that raises ends its writer and every shard it
+    serves; ``close`` then counts their unsettled readings as ``failed``
+    and re-raises.
+
     The engine is a context manager: leaving the ``with`` block performs a
-    graceful :meth:`close` (drain queues, flush gate buffers, join workers).
+    graceful :meth:`close` (drain queues, flush gate buffers, join writers).
     """
 
     def __init__(
@@ -165,16 +287,21 @@ class IngestEngine:
         self.quarantine_store = quarantine_store
         self.on_admit = on_admit
         self._gate_factories = list(gate_factories)
-        self._queues: list[queue.Queue] = [queue.Queue(maxsize=queue_size) for _ in range(n_shards)]
         self._chains: list[dict[str, list[StreamingGate]]] = [{} for _ in range(n_shards)]
         self._processed: list[int] = [0] * n_shards
         self._closed = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=n_shards, thread_name_prefix="ingest-shard"
-        )
-        self._futures: list[Future] = [
-            self._executor.submit(self._worker, i) for i in range(n_shards)
+        n_threads = n_shards if getattr(self.store, "io_bound", False) else 1
+        self._writers = [
+            _Writer(range(t, n_shards, n_threads), queue_size, policy, self.registry)
+            for t in range(n_threads)
         ]
+        self._writer_of = [self._writers[s % n_threads] for s in range(n_shards)]
+        self._threads = [
+            threading.Thread(target=self._run_writer, args=(writer,), name=f"ingest-writer-{t}")
+            for t, writer in enumerate(self._writers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # -- producer side -----------------------------------------------------------
 
@@ -182,53 +309,15 @@ class IngestEngine:
         """Route one reading to its shard, applying the backpressure policy.
 
         Returns True when the reading entered a shard queue, False when it
-        was rejected (``reject`` policy with a full queue).
+        was rejected (``reject`` policy with a full queue).  Raises
+        :class:`RuntimeError` once the engine is closed, and, under
+        ``block``, when the reading's shard is full and its writer died.
         """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        obs_on = OBS.enabled
-        self.registry.record_offer()
-        if obs_on:
-            OBS.metrics.inc("repro_ingest_offered_total")
         shard = shard_of(event.sensor_id, self.n_shards)
-        q = self._queues[shard]
-        if self.policy == "block":
-            try:
-                q.put_nowait(event)
-            except queue.Full:
-                if obs_on:
-                    OBS.metrics.inc("repro_ingest_backpressure_total", (("policy", "block"),))
-                if not self._put_while_alive(shard, event):
-                    error = self._futures[shard].exception()
-                    raise RuntimeError(f"ingest shard {shard} worker died") from error
-            return True
-        if self.policy == "reject":
-            try:
-                q.put_nowait(event)
-                return True
-            except queue.Full:
-                self.registry.record_rejected()
-                if obs_on:
-                    OBS.metrics.inc("repro_ingest_backpressure_total", (("policy", "reject"),))
-                return False
-        # drop_oldest: evict from the head until the new reading fits
-        while True:
-            try:
-                q.put_nowait(event)
-                return True
-            except queue.Full:
-                try:
-                    victim = q.get_nowait()
-                except queue.Empty:
-                    continue  # a worker drained it first; retry the put
-                if victim is not _SENTINEL:
-                    self.registry.record_dropped()
-                    if obs_on:
-                        OBS.metrics.inc(
-                            "repro_ingest_backpressure_total", (("policy", "drop_oldest"),)
-                        )
-                else:  # never evict the shutdown marker
-                    q.put(victim)
+        accepted = self._writer_of[shard].put(shard, event)
+        if OBS.enabled:
+            OBS.metrics.inc("repro_ingest_offered_total")
+        return accepted
 
     def offer_record(self, record: STRecord, arrival_time: float | None = None) -> bool:
         """Offer one STID record (see :meth:`offer`)."""
@@ -250,34 +339,26 @@ class IngestEngine:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> IngestCounters:
-        """Graceful shutdown: drain queues, flush gate buffers, join workers.
+        """Graceful shutdown: drain queues, flush gate buffers, join writers.
 
         Returns the final accounting counters (conservation holds: every
-        offered event is admitted, quarantined, dropped, or rejected).
+        offered event is admitted, quarantined, dropped, rejected, or —
+        when a writer died — failed).  Re-raises a writer's error after
+        recording its failed readings.
         """
         if not self._closed:
             self._closed = True
-            for shard, q in enumerate(self._queues):
-                if not self._put_while_alive(shard, _SENTINEL):
-                    _discard_queued(q)
-            try:
-                for future in self._futures:
-                    future.result()  # re-raises worker errors
-            finally:
-                self._executor.shutdown(wait=True)
+            for writer in self._writers:
+                writer.close()
+            for thread in self._threads:
+                thread.join()
+            failed = sum(writer.unsettled() for writer in self._writers)
+            if failed:
+                self.registry.record_failed(failed)
+            for writer in self._writers:
+                if writer.error is not None:
+                    raise writer.error
         return self.registry.counters_snapshot()
-
-    def _put_while_alive(self, shard: int, item: object) -> bool:
-        """Blocking put into ``shard``'s queue; False once its worker has died."""
-        q = self._queues[shard]
-        future = self._futures[shard]
-        while not future.done():
-            try:
-                q.put(item, timeout=_LIVENESS_POLL_S)
-                return True
-            except queue.Full:
-                pass
-        return False
 
     def __enter__(self) -> "IngestEngine":
         return self
@@ -288,26 +369,27 @@ class IngestEngine:
     # -- observability -----------------------------------------------------------
 
     def processed_per_shard(self) -> list[int]:
-        """How many readings each shard worker has processed."""
+        """How many readings each shard has processed."""
         return list(self._processed)
 
-    # -- shard workers -----------------------------------------------------------
+    # -- writer threads ----------------------------------------------------------
 
-    def _worker(self, shard: int) -> None:
-        q = self._queues[shard]
-        chains = self._chains[shard]
-        with OBS.tracer.span("ingest.shard", shard=shard) if OBS.enabled else _NULL:
-            while True:
-                item = q.get()
-                if item is _SENTINEL:
-                    break
-                self._process(shard, chains, item)
-            for gates in chains.values():
-                for outcome in flush_chain(gates):
-                    self._settle(outcome)
+    def _run_writer(self, writer: _Writer) -> None:
+        try:
+            with OBS.tracer.span("ingest.writer", shards=writer.shards) if OBS.enabled else _NULL:
+                while (batch := writer.take()) is not None:
+                    for shard, event in batch:
+                        self._process(writer, shard, event)
+                for shard in writer.shards:
+                    for gates in self._chains[shard].values():
+                        for outcome in flush_chain(gates):
+                            self._settle(writer, outcome)
+        except BaseException as exc:  # close() re-raises it in the owner's thread
+            writer.fail(exc)
 
-    def _process(self, shard: int, chains: dict[str, list[StreamingGate]], event: IngestEvent) -> None:
+    def _process(self, writer: _Writer, shard: int, event: IngestEvent) -> None:
         self.registry.observe(event)
+        chains = self._chains[shard]
         gates = chains.get(event.sensor_id)
         if gates is None:
             gates = [factory() for factory in self._gate_factories]
@@ -319,10 +401,13 @@ class IngestEngine:
         if OBS.enabled:
             OBS.metrics.observe("repro_ingest_gate_seconds", (("shard", str(shard)),), elapsed)
         for outcome in outcomes:
-            self._settle(outcome)
+            self._settle(writer, outcome)
 
-    def _settle(self, outcome: GateOutcome) -> None:
+    def _settle(self, writer: _Writer, outcome: GateOutcome) -> None:
         self.registry.record_outcome(outcome)
+        # Settled once recorded: a hook or sink that raises below leaves
+        # the reading under this outcome, not under ``failed``.
+        writer.settled += 1
         if OBS.enabled:
             OBS.metrics.inc(
                 "repro_ingest_gate_outcomes_total",

@@ -1,6 +1,6 @@
 """Thread-safe registry of live per-sensor quality state and accounting.
 
-The registry is the read side of the ingestion engine: shard workers fold
+The registry is the read side of the ingestion engine: writer threads fold
 every incoming reading into per-sensor :class:`OnlineSensorStats` (or
 windowed variants) and record every gate decision, while monitoring code
 snapshots :class:`~repro.core.quality.QualityReport` objects — the *same*
@@ -24,9 +24,11 @@ from .online_stats import OnlineSensorStats
 class IngestCounters:
     """Conservation accounting for an ingestion run.
 
-    After a clean shutdown every offered event is accounted for exactly
-    once: ``offered == admitted + quarantined + dropped + rejected``
-    (``repaired`` is the subset of ``admitted`` that a gate modified).
+    After shutdown every offered event is accounted for exactly once:
+    ``offered == admitted + quarantined + dropped + rejected + failed``
+    (``repaired`` is the subset of ``admitted`` that a gate modified;
+    ``failed`` counts readings an engine accepted but never settled
+    because a gate, hook or sink raised in its writer thread).
     """
 
     offered: int = 0
@@ -35,10 +37,11 @@ class IngestCounters:
     quarantined: int = 0
     dropped: int = 0  # evicted by the drop_oldest backpressure policy
     rejected: int = 0  # refused by the reject backpressure policy
+    failed: int = 0  # accepted, but stranded when a writer thread died
 
     def accounted(self) -> int:
         """Events with a terminal fate (everything but in-flight ones)."""
-        return self.admitted + self.quarantined + self.dropped + self.rejected
+        return self.admitted + self.quarantined + self.dropped + self.rejected + self.failed
 
     def conserved(self) -> bool:
         """True when no event is unaccounted for (valid after shutdown)."""
@@ -53,6 +56,7 @@ class IngestCounters:
             "quarantined": self.quarantined,
             "dropped": self.dropped,
             "rejected": self.rejected,
+            "failed": self.failed,
         }
 
 
@@ -84,7 +88,7 @@ class QualityRegistry:
         self._counter_lock = threading.Lock()
         self.counters = IngestCounters()
 
-    # -- write side (shard workers) -------------------------------------------
+    # -- write side (writer threads) ------------------------------------------
 
     def observe(self, event: IngestEvent) -> None:
         """Fold one raw incoming reading into its sensor's online stats."""
@@ -119,6 +123,11 @@ class QualityRegistry:
         """Count events refused under the ``reject`` policy."""
         with self._counter_lock:
             self.counters.rejected += n
+
+    def record_failed(self, n: int) -> None:
+        """Count events an engine accepted but never settled (its writer died)."""
+        with self._counter_lock:
+            self.counters.failed += n
 
     # -- read side (monitoring) ------------------------------------------------
 

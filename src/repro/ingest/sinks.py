@@ -36,7 +36,7 @@ class PartitionedStoreSink:
     the affected partitions are invalidated before the new point becomes
     visible (races cost a cache miss, never a stale serve).
 
-    Thread-safe: shard workers write concurrently — the store's delta
+    Thread-safe: writer threads may write concurrently — the store's delta
     tier serializes appends under its own lock, and the sink's counter
     and optional record log are guarded here.  With ``keep_records`` the
     sink also retains the admitted STID records (like

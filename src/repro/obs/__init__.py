@@ -6,8 +6,8 @@ default, and wired into every runtime layer of the package:
 
 * :mod:`~repro.obs.trace` — :class:`Tracer`/span API with contextvar
   parenting, deterministic ids, and ring-buffer or JSONL export; spans are
-  opened by :meth:`repro.core.Pipeline.run` (per stage), the ingest shard
-  workers, the parallel executors (per map and per task, stitched across
+  opened by :meth:`repro.core.Pipeline.run` (per stage), the ingest writer
+  threads, the parallel executors (per map and per task, stitched across
   process boundaries), and the batched spatial query entry points,
 * :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges,
   and histograms with lock-free per-thread accumulation, merged on

@@ -42,7 +42,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .. import kernels
-from ..core.geometry import BBox, Point
+from ..core.geometry import BBox, Point, boxes_containing
 from ..obs import OBS
 from ..obs.clock import MonotonicClock
 
@@ -206,7 +206,8 @@ class _TwoTierColumns:
     Base tier: per-partition contiguous ``coords``/``index`` arrays,
     immutable between compactions (and therefore safe to hold in a
     snapshot).  Delta tier: one amortized-growth columnar tail per partition
-    that :meth:`append` fills and :meth:`compact_one` folds into the base.
+    that :meth:`append` / :meth:`append_one` fill and :meth:`compact_one`
+    folds into the base.
     All mutation happens under one lock; :meth:`snapshot` captures a
     consistent read view cheaply, so queries never block on ingest for
     longer than one bucketed append or one partition's fold.
@@ -220,6 +221,7 @@ class _TwoTierColumns:
             [(p.bbox.min_x, p.bbox.min_y, p.bbox.max_x, p.bbox.max_y) for p in partitions],
             dtype=float,
         ).reshape(n, 4)
+        self._box_tuples = [tuple(row) for row in self.static_boxes.tolist()]
         self.scan_boxes = self.static_boxes.copy()
         self.base_coords: list[np.ndarray] = []
         self.base_index: list[np.ndarray] = []
@@ -267,9 +269,8 @@ class _TwoTierColumns:
         """Route and append points to their delta tails; returns global ids."""
         coords = kernels.coords_of(new_points)
         with self._lock:
-            start = len(self.points)
             homes = self._route_coords(coords)
-            self.points.extend(new_points)  # reprolint: disable=R7 — the delta tier is the sanctioned append seam
+            start = self._extend_points(new_points)
             order = np.argsort(homes, kind="stable")  # stable: admit order kept per partition
             sorted_homes = homes[order]
             cuts = np.flatnonzero(np.diff(sorted_homes)) + 1
@@ -285,6 +286,40 @@ class _TwoTierColumns:
             self.appended_total += len(new_points)
             self._snapshot = None
             return list(range(start, start + len(new_points)))
+
+    def append_one(self, point: Point) -> int:
+        """Route and append one point as one delta row; returns its global id.
+
+        A point inside a static box goes to the lowest such box by a scalar
+        scan, and its scan box (a superset of the static one) already
+        covers it.  Any other point takes :meth:`_route_coords`, so the
+        home partition always equals :meth:`append`'s.
+        """
+        x, y = point.x, point.y
+        inside = boxes_containing(self._box_tuples, x, y)
+        with self._lock:
+            start = self._extend_points((point,))
+            if inside:
+                p = inside[0]
+            else:
+                p = int(self._route_coords(np.array([[x, y]], dtype=float))[0])
+                box = self.scan_boxes[p]
+                box[0], box[1] = min(box[0], x), min(box[1], y)
+                box[2], box[3] = max(box[2], x), max(box[3], y)
+            size = self.delta_sizes[p]
+            self._reserve(p, size + 1)
+            self.delta_coords[p][size] = (x, y)
+            self.delta_index[p][size] = start
+            self.delta_sizes[p] = size + 1
+            self.appended_total += 1
+            self._snapshot = None
+            return start
+
+    def _extend_points(self, new_points: Sequence[Point]) -> int:
+        """Add points to the store's list (caller holds the lock); first new id."""
+        start = len(self.points)
+        self.points.extend(new_points)  # reprolint: disable=R7 — the delta tier is the sanctioned append seam
+        return start
 
     def _reserve(self, p: int, need: int) -> None:
         """Grow partition ``p``'s delta buffers to hold ``need`` rows.
@@ -588,7 +623,7 @@ class PartitionedStore:
     with the same membership (:meth:`rebuilt`).
 
     ``partitions_touched`` counts every (query, partition) routing
-    decision.  Appends are thread-safe (ingest shards write concurrently);
+    decision.  Appends are thread-safe (ingest writers may append at once);
     each batch reads one snapshot, and compaction never changes an answer
     (the serving layer runs it between batches).
     """
@@ -616,8 +651,20 @@ class PartitionedStore:
     # -- the live tier -----------------------------------------------------------
 
     def append(self, point: Point) -> int:
-        """Append one point to its partition's delta tail; returns its id."""
-        return self.append_many([point])[0]
+        """Append one point to its partition's delta tail; returns its id.
+
+        The one-point path of :meth:`append_many`, with the same home
+        partition and id: a point inside a static bbox is routed by a
+        scalar scan over the boxes and written as one delta row, and only
+        a point outside every bbox pays for the vectorized router.  This
+        is the ingest sink's per-reading call.
+        """
+        if self._tiers.n_partitions == 0:
+            raise ValueError("cannot append to a store with no partitions")
+        pid = self._tiers.append_one(point)
+        if OBS.enabled:
+            self._observe_appends(1)
+        return pid
 
     def append_many(self, points: Sequence[Point]) -> list[int]:
         """Append points to the delta tier; queryable immediately.
@@ -636,11 +683,12 @@ class PartitionedStore:
             raise ValueError("cannot append to a store with no partitions")
         ids = self._tiers.append(pts)
         if OBS.enabled:
-            OBS.metrics.inc("repro_store_appends_total", (), float(len(pts)))
-            OBS.metrics.set_gauge(
-                "repro_store_delta_fraction", (), self.max_delta_fraction()
-            )
+            self._observe_appends(len(pts))
         return ids
+
+    def _observe_appends(self, n: int) -> None:
+        OBS.metrics.inc("repro_store_appends_total", (), float(n))
+        OBS.metrics.set_gauge("repro_store_delta_fraction", (), self.max_delta_fraction())
 
     def max_delta_fraction(self) -> float:
         """Largest per-partition delta fraction (the compaction trigger)."""

@@ -23,13 +23,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..core.geometry import boxes_containing
 from ..ingest.events import IngestEvent
 
 
 class EpochRegistry:
     """Per-partition monotonic epoch counters (thread-safe).
 
-    Writers (ingest shard workers) call :meth:`bump` / :meth:`bump_point`;
+    Writers (ingest writer threads) call :meth:`bump` / :meth:`bump_point`;
     the serving event loop reads :meth:`snapshot` and :meth:`vector`.
     Epochs only advance, so a reader comparing a remembered vector against
     the live one can race a writer and still never *under*-invalidate.
@@ -42,7 +43,7 @@ class EpochRegistry:
         boxes = np.asarray(boxes, dtype=float)
         if boxes.ndim != 2 or boxes.shape[1] != 4:
             raise ValueError("boxes must be an (n_partitions, 4) array")
-        self._boxes = boxes.copy()
+        self._boxes = [tuple(row) for row in boxes.tolist()]
         self._epochs = [0] * boxes.shape[0]
         self._bumps = 0
         self._epochs_lock = threading.Lock()
@@ -84,9 +85,7 @@ class EpochRegistry:
 
     def partitions_containing(self, x: float, y: float) -> tuple[int, ...]:
         """Ids of partitions whose closed bbox contains ``(x, y)``."""
-        b = self._boxes
-        mask = (b[:, 0] <= x) & (b[:, 1] <= y) & (b[:, 2] >= x) & (b[:, 3] >= y)
-        return tuple(int(i) for i in np.flatnonzero(mask))
+        return tuple(boxes_containing(self._boxes, x, y))
 
     def epoch(self, partition_id: int) -> int:
         """Current epoch of one partition."""
@@ -116,7 +115,7 @@ def ingest_epoch_hook(epochs: EpochRegistry) -> Callable[[IngestEvent], None]:
 
     Wire it as ``IngestEngine(..., on_admit=ingest_epoch_hook(epochs))``:
     every gate-admitted (or gate-repaired) reading bumps the epoch of the
-    partitions containing its position, synchronously in the shard worker
+    partitions containing its position, synchronously in the writer thread
     — by the time the write is observable in any store, the cache entries
     it could stale are already invalid.
     """

@@ -1,5 +1,7 @@
 """Engine behavior: sharding, accounting conservation, backpressure, shutdown."""
 
+import itertools
+import sys
 import threading
 import time
 
@@ -37,6 +39,20 @@ class SlowGate(StreamingGate):
     def offer(self, event):
         """Admit after sleeping (models an expensive per-reading check)."""
         time.sleep(self.seconds)
+        return [self._admit(event)]
+
+
+class HeldGate(StreamingGate):
+    """Test-only gate that holds each reading until ``release`` is set."""
+
+    name = "held"
+
+    def __init__(self, release: threading.Event) -> None:
+        self.release = release
+
+    def offer(self, event):
+        """Admit once released (bounded, so a failing test cannot hang)."""
+        self.release.wait(timeout=5.0)
         return [self._admit(event)]
 
 
@@ -218,6 +234,34 @@ class TestBackpressure:
         stored = [r.t for r in engine.store.records]
         assert 119.0 in stored
 
+    def test_drop_oldest_evicts_within_the_shard(self):
+        """Shards share one FIFO, but a full shard evicts its own oldest
+        queued reading, never another shard's; the rest settle in offer
+        order."""
+        a = "sensor-a"
+        b = next(f"s{i}" for i in range(100) if shard_of(f"s{i}", 2) != shard_of(a, 2))
+        release = threading.Event()
+        engine = IngestEngine(
+            n_shards=2,
+            gate_factories=[lambda: HeldGate(release)],
+            queue_size=2,
+            policy="drop_oldest",
+        )
+        try:
+            assert engine.offer(IngestEvent(a, 0.0, 0.0, 0.0, 0.0, 0.0))
+            deadline = time.monotonic() + 5.0
+            while not engine.registry.sensor_ids and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # The writer holds t=0 in the gate; queue b1 a1 a2 b2, then a3.
+            for sensor, t in ((b, 1.0), (a, 2.0), (a, 3.0), (b, 4.0), (a, 5.0)):
+                assert engine.offer(IngestEvent(sensor, 0.0, 0.0, t, 0.0, t))
+        finally:
+            release.set()
+        counters = engine.close()
+        assert counters.conserved()
+        assert counters.dropped == 1
+        assert [r.t for r in engine.store.records] == [0.0, 1.0, 3.0, 4.0, 5.0]
+
     def test_reject_policy_refuses_and_accounts(self):
         engine = IngestEngine(
             n_shards=1,
@@ -271,6 +315,101 @@ class TestDeadShard:
         assert isinstance(outcome.get("error"), GateExploded)
         with pytest.raises(RuntimeError, match="closed"):
             engine.offer(events[0])
+
+    def test_stranded_readings_count_as_failed(self):
+        """One writer runs every shard, so one raising gate strands them all;
+        what they accepted but never settled is counted as ``failed``."""
+        engine = IngestEngine(n_shards=4, gate_factories=[ExplodingGate], policy="reject")
+        events = [IngestEvent(f"s{i % 8}", 0.0, 0.0, float(i), 0.0, float(i)) for i in range(40)]
+        accepted = [engine.offer(ev) for ev in events]
+        outcome = _outcome_within(engine.close)
+        assert isinstance(outcome.get("error"), GateExploded)
+        counters = engine.registry.counters_snapshot()
+        assert counters.conserved()
+        assert counters.offered == len(events)
+        assert counters.failed > 0
+        assert counters.failed == accepted.count(True)
+
+
+class TestShutdown:
+    def test_offer_racing_close_is_settled_or_refused(self):
+        """An ``offer`` that races ``close`` either enters a queue before the
+        writer's last take, and is settled, or raises: none is lost.
+
+        Three producer threads and a short switch interval make the race
+        land often."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(200):
+                engine = IngestEngine(n_shards=2, queue_size=64)
+                returned = []
+                started = threading.Event()
+
+                def produce(p, engine=engine, returned=returned, started=started):
+                    for t in itertools.count():
+                        ev = IngestEvent(f"s{p}-{t % 4}", 0.0, 0.0, float(t), 0.0, float(t))
+                        try:
+                            returned.append(engine.offer(ev))
+                        except RuntimeError:
+                            return
+                        started.set()
+
+                producers = [
+                    threading.Thread(target=produce, args=(p,), daemon=True) for p in range(3)
+                ]
+                for producer in producers:
+                    producer.start()
+                assert started.wait(timeout=5.0)
+                outcome = _outcome_within(engine.close)
+                for producer in producers:
+                    producer.join(timeout=5.0)
+                    assert not producer.is_alive()
+                counters = outcome["value"]
+                assert counters.conserved(), (trial, counters)
+                assert counters.offered == len(returned), trial
+                assert counters.admitted == returned.count(True), trial
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _ingest_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("ingest-")}
+
+
+class TestWriterThreads:
+    def test_writer_threads_follow_the_sink(self):
+        """Logical shards share one writer thread; an I/O-bound sink gets one
+        thread per shard."""
+        for store, expected in ((None, 1), (LatencyStore(InMemoryStore(), 1e-4), 4)):
+            before = _ingest_threads()
+            engine = IngestEngine(n_shards=4, store=store)
+            try:
+                added = _ingest_threads() - before
+                assert len(added) == expected
+                assert all(t.is_alive() for t in added)
+            finally:
+                engine.close()
+            assert not any(t.is_alive() for t in added)
+
+    def test_one_writer_span_per_writer_thread(self):
+        from repro.obs import OBS, disable, enable
+
+        events, _ = _stream(n_sensors=8, t_end=30.0)
+
+        def writer_spans(store):
+            enable()
+            try:
+                with IngestEngine(n_shards=4, store=store) as engine:
+                    ReplaySource(events).drive(engine)
+                records = OBS.tracer.finished()
+            finally:
+                disable()
+            return sorted(dict(r.attrs)["shards"] for r in records if r.name == "ingest.writer")
+
+        assert writer_spans(None) == ["(0, 1, 2, 3)"]
+        io_bound = LatencyStore(InMemoryStore(), 0.0)
+        assert writer_spans(io_bound) == ["(0,)", "(1,)", "(2,)", "(3,)"]
 
 
 class TestRegistryIntegration:

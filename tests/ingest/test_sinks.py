@@ -12,11 +12,14 @@ import numpy as np
 
 from repro.core import BBox, Point
 from repro.ingest import (
+    DuplicateGate,
     IngestEngine,
     IngestEvent,
     PartitionedStoreSink,
     RangeGate,
     ReplaySource,
+    SpeedScreenGate,
+    corrupt_stream,
     field_stream,
 )
 from repro.querying import PartitionedStore, kd_partition, skewed_points
@@ -115,3 +118,33 @@ class TestEngineEndToEnd:
         stats = store.compact(threshold=0.0)
         assert stats.points_folded == len(events)
         assert [p.point_indices for p in store.partitions] == before
+
+
+def test_shard_count_does_not_change_the_store():
+    """One writer processes every shard in offer order, so the store a
+    gated, corrupted stream builds is the same at 1 and at 4 shards."""
+    rng = np.random.default_rng(11)
+    _, series = field_stream(rng, 16, REGION, 0.0, 120.0, 5.0)
+    events = corrupt_stream(series, rng, duplicate_rate=0.3, spike_rate=0.1, mean_delay=2.0)
+
+    def run(n_shards):
+        store, _ = make_store()
+        engine = IngestEngine(
+            n_shards=n_shards,
+            gate_factories=[
+                lambda: RangeGate(-20.0, 40.0),
+                lambda: DuplicateGate(space_eps=1.0, time_eps=0.5),
+                lambda: SpeedScreenGate(-1.0, 1.0),
+            ],
+            store=PartitionedStoreSink(store),
+        )
+        ReplaySource(events).drive(engine)
+        return store, engine.close()
+
+    one, one_counters = run(1)
+    four, four_counters = run(4)
+    assert [(p.x, p.y) for p in four.points] == [(p.x, p.y) for p in one.points]
+    assert four.partitions == one.partitions
+    assert four_counters == one_counters
+    assert one_counters.conserved()
+    assert one_counters.quarantined > 0 and one_counters.repaired > 0

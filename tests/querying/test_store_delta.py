@@ -313,6 +313,27 @@ class TestParallelDeltaParity:
 coord = st.floats(min_value=-50.0, max_value=1050.0, allow_nan=False)
 point_lists = st.lists(st.builds(Point, coord, coord), min_size=0, max_size=40)
 
+_KD_BASE = skewed_points(np.random.default_rng(7), 40, REGION, n_hotspots=1, hotspot_sigma=90.0)
+_KD_PARTS = kd_partition(_KD_BASE, REGION, 4)
+
+
+def _box_point(box, fx, fy):
+    """The point at fractions ``(fx, fy)`` of ``box``: exactly on an edge
+    at 0 or 1, so 0/1 pairs are corners (shared between kd boxes)."""
+    x = box.min_x if fx == 0 else box.max_x if fx == 1 else box.min_x + fx * box.width
+    y = box.min_y if fy == 0 else box.max_y if fy == 1 else box.min_y + fy * box.height
+    return Point(x, y)
+
+
+fraction = st.sampled_from([0.0, 0.5, 1.0])
+kd_boxes = st.sampled_from([p.bbox for p in _KD_PARTS])
+kd_edge_points = st.builds(_box_point, kd_boxes, fraction, fraction)
+far = st.floats(min_value=-3000.0, max_value=4000.0, allow_nan=False)
+# Exact kd box edges and corners, and points far outside REGION.
+boundary_point_lists = st.lists(
+    st.one_of(kd_edge_points, st.builds(Point, far, far)), min_size=0, max_size=20
+)
+
 
 class TestStoreDeltaProperties:
     @settings(max_examples=30, deadline=None)
@@ -355,20 +376,23 @@ class TestStoreDeltaProperties:
     @settings(max_examples=20, deadline=None)
     @given(
         streamed=point_lists,
+        boundary=boundary_point_lists,
         split=st.integers(min_value=0, max_value=40),
     )
-    def test_batch_vs_single_appends_identical(self, streamed, split):
-        base_rng = np.random.default_rng(7)
-        base = skewed_points(base_rng, 40, REGION, n_hotspots=1, hotspot_sigma=90.0)
-        parts = kd_partition(base, REGION, 4)
-        a = PartitionedStore(base, parts)
-        b = PartitionedStore(base, parts)
+    def test_batch_vs_single_appends_identical(self, streamed, boundary, split):
+        """``boundary`` points always take the one-point ``append`` on one
+        side: ties on shared kd edges and nearest-box routing must match."""
+        a = PartitionedStore(_KD_BASE, _KD_PARTS)
+        b = PartitionedStore(_KD_BASE, _KD_PARTS)
         cut = min(split, len(streamed))
-        a.append_many(streamed)
+        a.append_many(streamed + boundary)
         b.append_many(streamed[:cut])
-        for p in streamed[cut:]:
+        for p in streamed[cut:] + boundary:
             b.append(p)
         assert [p.point_indices for p in a.partitions] == [p.point_indices for p in b.partitions]
         centers = [Point(500.0, 500.0), Point(-20.0, 1020.0)]
         assert a.range_query_many(centers, 250.0) == b.range_query_many(centers, 250.0)
         assert a.knn_many(centers, 5) == b.knn_many(centers, 5)
+        # zero-radius disks at the boundary points see the grown scan boxes
+        assert a.range_query_many(boundary, 0.0) == b.range_query_many(boundary, 0.0)
+        assert a.range_partition_sets(boundary, 0.0) == b.range_partition_sets(boundary, 0.0)

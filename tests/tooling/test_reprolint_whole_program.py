@@ -382,6 +382,73 @@ class TestR9LockOrder:
         )
         assert run_reprolint(tmp_path) == []
 
+    def test_sleep_under_condition_flagged(self, tmp_path):
+        write_module(
+            tmp_path,
+            "src/repro/ingest/writer.py",
+            """
+            import threading
+            import time
+
+            class Writer:
+                def __init__(self):
+                    self._cond = threading.Condition()
+
+                def slow_take(self):
+                    with self._cond:
+                        time.sleep(0.5)
+            """,
+        )
+        r9 = [f for f in run_reprolint(tmp_path) if f.rule == "R9"]
+        assert len(r9) == 1
+        assert "time.sleep" in r9[0].message
+        assert "Writer._cond" in r9[0].message
+
+    def test_condition_wait_under_its_own_lock_clean(self, tmp_path):
+        write_module(
+            tmp_path,
+            "src/repro/ingest/writer.py",
+            """
+            import threading
+
+            class Writer:
+                def __init__(self):
+                    self._cond = threading.Condition(threading.Lock())
+                    self._items = []
+
+                def take(self):
+                    with self._cond:
+                        while not self._items:
+                            self._cond.wait()
+                        self._cond.wait_for(lambda: bool(self._items))
+                        return self._items.pop()
+            """,
+        )
+        assert run_reprolint(tmp_path) == []
+
+    def test_condition_wait_holding_another_lock_flagged(self, tmp_path):
+        write_module(
+            tmp_path,
+            "src/repro/ingest/writer.py",
+            """
+            import threading
+
+            class Writer:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._cond = threading.Condition()
+
+                def take(self):
+                    with self._lock:
+                        with self._cond:
+                            self._cond.wait()
+            """,
+        )
+        findings = run_reprolint(tmp_path)
+        assert [f.rule for f in findings] == ["R9"]
+        assert "`.wait()`" in findings[0].message
+        assert "Writer._lock" in findings[0].message
+
     def test_pragma_suppresses(self, tmp_path):
         write_module(
             tmp_path,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Bump when extraction or rule semantics change: stale entries self-invalidate.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def digest_bytes(data: bytes) -> str:

@@ -1,10 +1,12 @@
 """Lock-index extraction and R9 lock-order/deadlock analysis.
 
 Phase 1 (:func:`extract_lock_info`) summarizes each module: which
-``threading.Lock``/``RLock`` objects it defines (class attributes and
-module globals), and — per function — every lock acquisition, every call
-made while a lock is held, every blocking operation, and every ``await``,
-each annotated with the set of locks lexically held at that point.
+``threading.Lock``/``RLock``/``Condition`` objects it defines (class
+attributes and module globals), and — per function — every lock
+acquisition, every call made while a lock is held, every blocking
+operation, and every ``await``, each annotated with the set of locks
+lexically held at that point.  A Condition counts as a lock of its
+underlying lock's kind (``RLock`` unless one is passed in).
 
 Phase 2 (:func:`rule_r9_lock_order`) stitches the per-module summaries
 into a global lock-acquisition graph, resolving one level of intra-repo
@@ -15,8 +17,10 @@ calls, and flags:
 * re-acquisition of a non-reentrant ``threading.Lock`` already held,
 * blocking operations (``time.sleep``, bare ``.join()``, ``queue.get``,
   executor ``.map``/``.result``, pool ``.prewarm()``, ``.wait()``,
-  ``.shutdown()``) performed while holding a lock — directly or one call
-  away,
+  ``.wait_for()``, ``.shutdown()``) performed while holding a lock —
+  directly or one call away.  Waiting on a Condition releases that
+  Condition, so its own ``.wait()`` is blocking only with respect to the
+  *other* locks held,
 * ``await`` while a ``threading`` lock is held (an async event loop must
   never park on top of a thread lock).
 
@@ -41,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Factories that create a *thread* lock (asyncio locks are out of scope:
 #: they cooperate with the event loop instead of blocking it).
 _LOCK_FACTORIES = {"threading.Lock": "Lock", "threading.RLock": "RLock"}
+
+#: A Condition is a lock of its underlying lock's kind (an RLock by default).
+_CONDITION_FACTORY = "threading.Condition"
 
 _QUEUE_FACTORIES = {
     "queue.Queue",
@@ -113,10 +120,21 @@ def _resolve(dotted: str | None, aliases: dict[str, str]) -> str | None:
 
 
 def _lock_factory_kind(value: ast.expr, aliases: dict[str, str]) -> str | None:
-    """``"Lock"``/``"RLock"`` when ``value`` constructs a threading lock."""
+    """``"Lock"``/``"RLock"`` when ``value`` constructs a threading lock.
+
+    ``threading.Condition(lock)`` takes the kind of ``lock`` when that is a
+    lock factory call, and is an ``RLock`` otherwise (its default).
+    """
     if not isinstance(value, ast.Call):
         return None
     resolved = _resolve(_dotted(value.func), aliases)
+    if resolved == _CONDITION_FACTORY:
+        inner = value.args[0] if value.args else None
+        for kw in value.keywords:
+            if kw.arg == "lock":
+                inner = kw.value
+        kind = _lock_factory_kind(inner, aliases) if inner is not None else None
+        return kind or "RLock"
     return _LOCK_FACTORIES.get(resolved or "")
 
 
@@ -290,6 +308,8 @@ def _scan_function(
             return "pool `.prewarm()` round-trip"
         if attr == "wait" and not call.args:
             return "`.wait()`"
+        if attr == "wait_for" and resolved != "asyncio.wait_for":
+            return "`.wait_for()`"
         if attr == "shutdown":
             return "executor `.shutdown()`"
         return None
@@ -327,6 +347,16 @@ def _scan_function(
         id(n.value) for n in ast.walk(fn) if isinstance(n, ast.Await)
     }
 
+    def held_while_blocked(call: ast.Call, held: tuple[str, ...]) -> tuple[str, ...]:
+        """Locks still held during a blocking call: a Condition's
+        ``.wait()`` / ``.wait_for()`` releases that Condition."""
+        func = call.func
+        if isinstance(func, ast.Attribute) and func.attr in {"wait", "wait_for"}:
+            own = lock_ref(func.value)
+            if own is not None:
+                return tuple(h for h in held if h != own)
+        return held
+
     def scan_expr(node: ast.AST, held: tuple[str, ...]) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -337,7 +367,7 @@ def _scan_function(
                 continue
             kind = classify_blocking(sub, id(sub) in awaited_calls)
             if kind is not None:
-                summary.blocking.append((kind, sub.lineno, held))
+                summary.blocking.append((kind, sub.lineno, held_while_blocked(sub, held)))
             if (
                 isinstance(sub.func, ast.Attribute)
                 and sub.func.attr == "acquire"
