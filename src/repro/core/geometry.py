@@ -205,7 +205,11 @@ def perpendicular_distance(p: Point, a: Point, b: Point) -> float:
     norm = math.hypot(vx, vy)
     if norm == 0.0:
         return p.distance_to(a)
-    return abs(vx * (a.y - p.y) - (a.x - p.x) * vy) / norm
+    # Normalize the direction before the cross product: with a subnormal
+    # ``ab`` the unnormalized products lose their precision and the ratio
+    # can exceed the true distance.
+    ux, uy = vx / norm, vy / norm
+    return abs(ux * (a.y - p.y) - (a.x - p.x) * uy)
 
 
 def polyline_length(points: Sequence[Point]) -> float:

@@ -48,7 +48,7 @@ from .checks import (
     stuck_score,
 )
 from .config import QodConfig
-from .reference import fleet_dispersion, fleet_slope, neighbor_consensus
+from .reference import _consensus, _Graph, fleet_dispersion, fleet_slope
 
 #: Shared no-op context for disabled-observability paths.
 _NULL = nullcontext()
@@ -228,6 +228,8 @@ class QodRegistry:
         self._clock = clock
         self._registry_lock = threading.Lock()
         self._entries: dict[str, _SensorEntry] = {}
+        # The last pass's neighbor graph, published as one tuple.
+        self._graph: _Graph | None = None
 
     # -- ingestion side ----------------------------------------------------------
 
@@ -332,10 +334,10 @@ class QodRegistry:
                 if self._clock is not None
                 else max(s.last_t for s in summaries)
             )
-        consensus = neighbor_consensus(summaries, config.neighbors)
-        scale = max(fleet_dispersion(summaries), config.cqc_min_scale)
-        trend = fleet_slope(summaries)
+        consensus, self._graph = _consensus(summaries, config.neighbors, self._graph)
         median_dispersion = fleet_dispersion(summaries)
+        scale = max(median_dispersion, config.cqc_min_scale)
+        trend = fleet_slope(summaries)
         out: dict[str, QodScore] = {}
         for summary, near in zip(summaries, consensus):
             out[summary.sensor_id] = self._score_one(

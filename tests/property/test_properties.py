@@ -8,7 +8,7 @@ simplification, monotone timestamp repair, and probability-model sanity.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cleaning import isotonic_repair, order_violations
@@ -79,6 +79,9 @@ class TestGeometryProperties:
         assert p.distance_to(q) <= p.distance_to(b) + 1e-6
 
     @given(points(), points(), points())
+    # A subnormal segment: without normalizing its direction first, the
+    # cross product loses its precision and reads 2.0 here, not 1.5.
+    @example(Point(0.0, 1.5), Point(0.0, 0.0), Point(5e-324, 0.0))
     def test_perpendicular_le_segment_distance(self, p, a, b):
         assert (
             perpendicular_distance(p, a, b)

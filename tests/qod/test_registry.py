@@ -125,6 +125,20 @@ class TestObservability:
         score_span = next(s for s in roots if s.name == "qod.score")
         assert dict(score_span.attrs)["sensors"] == "5"  # attrs are stringified
 
+        def graph_attrs():
+            return [
+                dict(s.attrs)["graph"]
+                for s in OBS.tracer.finished()
+                if s.name == "qod.reference"
+            ]
+
+        assert graph_attrs() == ["rebuilt"]
+        registry.scores()  # no new reading: the neighbor graph is reused
+        assert graph_attrs() == ["rebuilt", "cached"]
+        registry.update(IngestEvent("s0", 400.0, 400.0, 2400.0, 20.0, 2400.0))
+        registry.scores()  # s0 moved: its neighborhood changed
+        assert graph_attrs() == ["rebuilt", "cached", "rebuilt"]
+
     def test_disabled_obs_records_nothing(self):
         registry = QodRegistry(CONFIG)
         registry.update_many(sensor_events(0))

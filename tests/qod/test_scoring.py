@@ -6,11 +6,12 @@ corrupted sensor's composite score.  All streams are deterministic
 (seeded rng only), so the assertions are exact replays.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ingest.events import IngestEvent
@@ -166,26 +167,43 @@ class TestIncrementalEqualsBatch:
     @given(
         data=st.lists(
             st.tuples(
-                st.integers(min_value=0, max_value=3),  # sensor
+                st.integers(min_value=0, max_value=5),  # sensor
                 st.floats(min_value=-5.0, max_value=45.0),  # value
+                # site: 0 home, 1-2 moved, 3 no position (a NaN x)
+                st.integers(min_value=0, max_value=3),
             ),
             min_size=1,
             max_size=60,
         ),
         probe_every=st.integers(min_value=1, max_value=7),
+        min_readings=st.sampled_from([1, 4]),
     )
-    def test_streaming_scores_match_batch_rebuild(self, data, probe_every):
-        sites = [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (100.0, 100.0)]
+    # Always tried: the whole fleet reports, then s0 moves and changes
+    # both its own and s3's two nearest neighbors.
+    @example(
+        data=[(i, 10.0 + i, 0) for i in range(6)] + [(0, 30.0, 2)],
+        probe_every=1,
+        min_readings=1,
+    )
+    def test_streaming_scores_match_batch_rebuild(self, data, probe_every, min_readings):
+        # Six sensors with two neighbors each: a join or a move changes
+        # neighborhoods, so every probe checks the registry's cached
+        # neighbor graph against a fresh rebuild.
+        # ``min_readings=1`` scores every sensor's reference check at once;
+        # 4 mixes cold-start and scored sensors.
+        config = dataclasses.replace(CONFIG, neighbors=2, min_readings=min_readings)
         events = []
-        for j, (sensor, value) in enumerate(data):
-            x, y = sites[sensor]
+        for j, (sensor, value, site) in enumerate(data):
+            x = math.nan if site == 3 else 100.0 * (sensor % 3) + 70.0 * site
+            y = 100.0 * (sensor // 3) - 45.0 * site
             events.append(IngestEvent(f"s{sensor}", x, y, j * 30.0, value, j * 30.0))
-        streaming = QodRegistry(CONFIG)
+        streaming = QodRegistry(config)
         for j, event in enumerate(events):
             streaming.update(event)
-            if j % probe_every == 0:
-                streaming.scores()  # mid-stream reads must not perturb state
-        batch = QodRegistry.from_events(events, CONFIG)
+            if j % probe_every == 0:  # mid-stream reads must not perturb state
+                rebuilt = QodRegistry.from_events(events[: j + 1], config)
+                assert streaming.scores() == rebuilt.scores()
+        batch = QodRegistry.from_events(events, config)
         assert streaming.scores() == batch.scores()
 
     def test_windowed_config_matches_too(self):
@@ -283,6 +301,21 @@ class TestColdStartAndStaleness:
         score = registry.scores()["s0"]
         assert score.composite == 0.7
         assert score.n == 5
+
+    def test_sensor_without_a_position_is_unchecked(self):
+        """A NaN site finds no neighbors: its reference check is skipped."""
+        # ten sensors, more than neighbors + 1; s0 reads 10 units high
+        events = fleet_events(lambda j, t, v: v + 10.0)
+
+        def scores_with_s0_at(x):
+            moved = [dataclasses.replace(e, x=x) if e.sensor_id == "s0" else e for e in events]
+            return QodRegistry.from_events(moved, CONFIG).scores()
+
+        nowhere, far = scores_with_s0_at(math.nan), scores_with_s0_at(1e9)
+        assert nowhere["s0"].reference == 1.0 > far["s0"].reference
+        # s0 is nobody's neighbor either way, so every other sensor agrees
+        del nowhere["s0"], far["s0"]
+        assert nowhere == far
 
     def test_silent_sensor_decays(self):
         config = QodConfig(min_readings=4, staleness_horizon=600.0)

@@ -197,6 +197,16 @@ class TestQualityWeights:
     def test_point_weights_aligns_sources(self):
         w = point_weights(["a", "b", "a", "c"], {"a": 0.2, "b": 0.9}, default=1.0)
         assert w.tolist() == [0.2, 0.9, 0.2, 1.0]
+        assert point_weights([], {"a": 0.2}).shape == (0,)
+        # longer than one gather chunk, mixing unknown sources and value types
+        rng = np.random.default_rng(7)
+        sources = [f"s{i}" for i in rng.integers(0, 300, size=10_000)]
+        weights: dict = {f"s{i}": 0.1 + i / 300.0 for i in range(200)}
+        weights.update({f"s{i}": np.float32(0.05 + i / 400.0) for i in range(1, 200, 2)})
+        weights.update({f"s{i}": 1 for i in range(0, 200, 5)})
+        want = np.array([float(weights.get(s, 0.7)) for s in sources], dtype=float)
+        got = point_weights(sources, weights, default=0.7)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_weighted_mean(self):
         assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
